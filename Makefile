@@ -6,7 +6,7 @@ all: build
 
 # The default gate: full build, full test suite, and the smoke sweeps
 # that double as end-to-end differential checks (oracle backends,
-# sharded engine, parallel engine, deletability index, history checker).
+# sharded engine and its executors, deletability index, history checker).
 check: build test bench-smoke bench-engine-smoke parallel-test bench-engine-par-smoke bench-policy-smoke check-hist bench-check-smoke net-test bench-net-smoke graph-test bench-graph-smoke
 
 build:
@@ -38,11 +38,11 @@ engine-test:
 gc-test:
 	dune build @gc
 
-# Just the parallel-engine suite (the seeded-replay differential matrix
-# vs the single-node scheduler and the sequential engine, the MPSC
-# admission linearizability property, the coordinator mutation checks,
-# and the locked-sink thread-safety regression) — the tight loop when
-# hacking on the domain-per-shard engine.
+# Just the executor suite (the seeded-replay differential matrix vs the
+# single-node scheduler and the Inline executor, executor independence,
+# the coordinator mutation checks, and the locked-sink thread-safety
+# regression) — the tight loop when hacking on the domain-per-shard
+# executors.
 parallel-test:
 	dune build @parallel
 
@@ -54,7 +54,7 @@ check-hist:
 
 # Just the serving-layer suite (wire-protocol round trips and typed
 # rejections in both dialects, the loopback differential against the
-# in-process engines, mid-frame disconnect and shard-failure
+# in-process engine under each executor, mid-frame disconnect and shard-failure
 # propagation, workload-mix distribution checks) — the tight loop when
 # hacking on lib/net.
 net-test:
@@ -100,14 +100,14 @@ bench-engine-smoke:
 	dune exec bench/main.exe -- engine-smoke
 
 # The domains axis alone: each parallel row (one applier domain per
-# shard) next to its sequential baseline, with speedup_vs_single_domain
+# shard) next to its Inline baseline, with speedup_vs_single_domain
 # and host_cores recorded in BENCH_engine.json.
 bench-engine-par:
 	dune exec bench/main.exe -- engine-par
 
-# CI gate: one seq/par pair; the parallel row's differential runs the
-# full three-way check (single-node scheduler + sequential engine +
-# trace byte-equality).
+# CI gate: one inline/domains pair; the parallel row's differential
+# runs the full check (single-node scheduler + Inline executor's shard
+# state + trace byte-equality).
 bench-engine-par-smoke:
 	dune exec bench/main.exe -- engine-par-smoke
 

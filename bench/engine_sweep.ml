@@ -11,9 +11,9 @@
    land in BENCH_engine.json, re-read and validated before exit (the
    [make bench-engine] gate).
 
-   The domains axis ([domains > 1]) runs the parallel engine — one
-   applier domain per shard behind the sequential coordinator — against
-   the sequential row of the same workload, and records the speedup.
+   The domains axis ([domains > 1]) runs the Domains executor — one
+   applier domain per shard behind the coordinator — against the Inline
+   row of the same workload, and records the speedup.
    [host_cores] is recorded alongside: on a single-core host the
    domains are OS threads and the honest speedup is ~1x (or below);
    the exactness checks still hold there, which is the point. *)
@@ -21,7 +21,6 @@
 module Gen = Dct_workload.Generator
 module Policy = Dct_deletion.Policy
 module Eng = Dct_engine.Engine
-module Par = Dct_engine.Parallel
 
 type config = {
   shards : int;
@@ -30,7 +29,7 @@ type config = {
   cross_shard : float;
   n_txns : int;
   seed : int;
-  domains : int; (* 1 = sequential engine; > 1 = one domain per shard *)
+  domains : int; (* 1 = Inline executor; > 1 = one domain per shard *)
 }
 
 (* The parallel rows pair with grid rows: same workload (shards, batch,
@@ -83,7 +82,7 @@ let smoke_configs =
       seed = 23; domains = 2 };
   ]
 
-(* The paired subset alone: every parallel row plus its sequential
+(* The paired subset alone: every parallel row plus its Inline
    baseline — the [make bench-engine-par] target. *)
 let par_configs ~smoke =
   let all = if smoke then smoke_configs else full_configs in
@@ -120,71 +119,47 @@ type row = {
 
 let run_config c =
   let schedule = schedule_of c in
+  let executor = if c.domains <= 1 then Eng.Inline else Eng.Domains in
   let cfg =
-    Eng.config ~policy:Policy.Greedy_c1 ~shards:c.shards ~batch:c.batch ()
+    Eng.config ~policy:Policy.Greedy_c1 ~executor ~shards:c.shards
+      ~batch:c.batch ()
   in
-  if c.domains <= 1 then begin
-    let r = Eng.run (Eng.create cfg) schedule in
-    let d =
-      Eng.differential ~shards:c.shards ~batch:c.batch ~policy:Policy.Greedy_c1
-        schedule
-    in
-    let coord : Dct_engine.Coordinator.stats = r.Eng.coordinator in
-    {
-      c;
-      mode = "sequential";
-      steps = r.Eng.steps;
-      throughput =
-        (if r.Eng.wall_seconds > 0.0 then
-           float_of_int r.Eng.steps /. r.Eng.wall_seconds
-         else 0.0);
-      committed = r.Eng.committed;
-      aborted = r.Eng.aborted;
-      coordinator_hwm = coord.resident_hwm;
-      shard_hwm = r.Eng.shard_resident_hwm;
-      cross_arcs = r.Eng.cross_shard_arcs;
-      distributed = r.Eng.distributed_txns;
-      differential_ok = Eng.differential_ok d;
-    }
-  end
-  else begin
-    (* Timing comes from the real-domain run; the exactness check runs
-       through the deterministic replay simulator (same protocol, and it
-       additionally compares deletion rounds, per-shard state and the
-       telemetry trace against the sequential engine). *)
-    let pr = Par.run ~mode:Par.Domains cfg schedule in
-    let d =
-      Par.differential ~mode:(Par.Replay c.seed) ~shards:c.shards
-        ~batch:c.batch ~policy:Policy.Greedy_c1 schedule
-    in
-    let r = pr.Par.base in
-    let coord : Dct_engine.Coordinator.stats = r.Eng.coordinator in
-    {
-      c;
-      mode = pr.Par.mode;
-      steps = r.Eng.steps;
-      throughput =
-        (if r.Eng.wall_seconds > 0.0 then
-           float_of_int r.Eng.steps /. r.Eng.wall_seconds
-         else 0.0);
-      committed = r.Eng.committed;
-      aborted = r.Eng.aborted;
-      coordinator_hwm = coord.resident_hwm;
-      shard_hwm = r.Eng.shard_resident_hwm;
-      cross_arcs = r.Eng.cross_shard_arcs;
-      distributed = r.Eng.distributed_txns;
-      differential_ok = Par.differential_ok d;
-    }
-  end
+  let r = Eng.run (Eng.create cfg) schedule in
+  (* Timing comes from the run above; a Domains row's exactness check
+     runs through the deterministic replay simulator (same protocol,
+     and it additionally compares per-shard state and the telemetry
+     trace against an Inline run). *)
+  let d =
+    Eng.differential
+      ~executor:(if c.domains <= 1 then Eng.Inline else Eng.Replay c.seed)
+      ~shards:c.shards ~batch:c.batch ~policy:Policy.Greedy_c1 schedule
+  in
+  let coord : Dct_engine.Coordinator.stats = r.Eng.coordinator in
+  {
+    c;
+    mode = r.Eng.executor;
+    steps = r.Eng.steps;
+    throughput =
+      (if r.Eng.wall_seconds > 0.0 then
+         float_of_int r.Eng.steps /. r.Eng.wall_seconds
+       else 0.0);
+    committed = r.Eng.committed;
+    aborted = r.Eng.aborted;
+    coordinator_hwm = coord.resident_hwm;
+    shard_hwm = r.Eng.shard_resident_hwm;
+    cross_arcs = r.Eng.cross_shard_arcs;
+    distributed = r.Eng.distributed_txns;
+    differential_ok = Eng.differential_ok d;
+  }
 
-let host_cores = Par.available_domains ()
+let host_cores = Eng.available_domains ()
 
 let same_workload a b =
   a.shards = b.shards && a.batch = b.batch && a.theta = b.theta
   && a.cross_shard = b.cross_shard && a.n_txns = b.n_txns && a.seed = b.seed
 
-(* Speedup of a parallel row over the sequential row of the same
-   workload; 1.0 for sequential rows, 0.0 when no baseline is present. *)
+(* Speedup of a parallel row over the Inline row of the same
+   workload; 1.0 for Inline rows, 0.0 when no baseline is present. *)
 let speedup_of rows r =
   if r.c.domains <= 1 then 1.0
   else
@@ -332,5 +307,5 @@ let run_rows ~smoke configs =
 let run ~smoke () =
   run_rows ~smoke (if smoke then smoke_configs else full_configs)
 
-(* Only the parallel rows and their sequential baselines. *)
+(* Only the parallel rows and their Inline baselines. *)
 let run_par ~smoke () = run_rows ~smoke (par_configs ~smoke)

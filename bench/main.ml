@@ -123,8 +123,8 @@ let test_cycle_pk =
 let test_cycle_closure =
   Test.make ~name:"ablation/cycle-closure" (Staged.stage replay_arcs_closure)
 
-let run_conflict ?with_closure policy () =
-  let sched = Dct_sched.Conflict_scheduler.create ~policy ?with_closure () in
+let run_conflict ?oracle policy () =
+  let sched = Dct_sched.Conflict_scheduler.create ~policy ?oracle () in
   List.iter
     (fun s -> ignore (Dct_sched.Conflict_scheduler.step sched s))
     bench_schedule
@@ -147,11 +147,11 @@ let test_sgt_budget =
 
 let test_sgt_closure_none =
   Test.make ~name:"ablation/sgt-closure-no-deletion"
-    (Staged.stage (run_conflict ~with_closure:true Policy.No_deletion))
+    (Staged.stage (run_conflict ~oracle:Dct_graph.Cycle_oracle.Closure Policy.No_deletion))
 
 let test_sgt_closure_greedy =
   Test.make ~name:"ablation/sgt-closure-greedy-c1"
-    (Staged.stage (run_conflict ~with_closure:true Policy.Greedy_c1))
+    (Staged.stage (run_conflict ~oracle:Dct_graph.Cycle_oracle.Closure Policy.Greedy_c1))
 
 let test_certifier =
   Test.make ~name:"ex10/certifier"

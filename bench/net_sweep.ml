@@ -22,7 +22,6 @@ module Mix = Dct_workload.Mix
 module Policy = Dct_deletion.Policy
 module Didx = Dct_deletion.Deletability_index
 module Eng = Dct_engine.Engine
-module Par = Dct_engine.Parallel
 module Net = Dct_net
 module Metrics = Dct_telemetry.Metrics
 
@@ -99,7 +98,7 @@ type row = {
   shard_hwm : int;
 }
 
-let host_cores = Par.available_domains ()
+let host_cores = Eng.available_domains ()
 
 let sock_path idx =
   Filename.concat
@@ -111,9 +110,9 @@ let run_config idx c =
     Eng.config ~policy:c.policy ?gc_index:c.gc_index ~shards:c.shards
       ~batch:c.batch ()
   in
-  let backend ~on_step = Net.Backend.seq ~on_step cfg in
   let srv =
-    Net.Server.create ~flush_ms:2 ~backend (Net.Addr.Unix_path (sock_path idx))
+    Net.Server.create ~flush_ms:2 ~engine:(Eng.create cfg)
+      (Net.Addr.Unix_path (sock_path idx))
   in
   Net.Server.start srv;
   let dres =
@@ -134,7 +133,7 @@ let run_config idx c =
   let pct p = Metrics.histo_percentile m "net.latency.all" p /. 1e3 in
   {
     c;
-    backend = Net.Backend.name (Net.Server.backend srv);
+    backend = report.Eng.executor;
     txns = dres.Net.Driver.txns;
     completed = dres.Net.Driver.completed;
     aborted = dres.Net.Driver.aborted;

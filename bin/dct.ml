@@ -413,7 +413,6 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     cross_shard oracle gc_index domains replay differential listen flush_ms
     trace metrics_on json =
   let module Eng = Dct_engine.Engine in
-  let module Par = Dct_engine.Parallel in
   let partitioner =
     match Dct_engine.Partitioner.of_string partitioner_spec ~shards with
     | Ok p -> p
@@ -451,30 +450,30 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
       Dct_telemetry.Tracer.create ?metrics:registry ~sink ()
     else Dct_telemetry.Tracer.disabled
   in
-  let cfg =
-    Eng.config ~policy ~partitioner ?oracle ~tracer ?gc_index ~shards ~batch ()
-  in
   (* --replay always wins (it is single-threaded anyway); --domains > 1
-     selects one applier domain per shard, falling back to the
-     sequential engine on a single-core host per the determinism
-     contract — domains there are OS threads and can only add noise. *)
-  let parallel_mode =
+     selects one applier domain per shard, falling back to the inline
+     executor on a single-core host per the determinism contract —
+     domains there are OS threads and can only add noise. *)
+  let executor =
     match replay with
-    | Some interleaving_seed -> Some (Par.Replay interleaving_seed)
+    | Some interleaving_seed -> Eng.Replay interleaving_seed
     | None ->
         if domains > 1 then
-          if Par.available_domains () = 1 then begin
+          if Eng.available_domains () = 1 then begin
             Printf.eprintf
               "dct: serve: single-core host: --domains %d falls back to \
-               the sequential engine (use --replay SEED for the \
+               the inline executor (use --replay SEED for the \
                deterministic interleaving simulator)\n"
               domains;
-            None
+            Eng.Inline
           end
-          else Some Par.Domains
-        else None
+          else Eng.Domains
+        else Eng.Inline
   in
-  let par_info = ref None in
+  let cfg =
+    Eng.config ~policy ~partitioner ?oracle ~tracer ?gc_index ~executor ~shards
+      ~batch ()
+  in
   let serve_socket addr_spec =
     (* Network mode: clients supply the traffic; the generated schedule
        and --steps are ignored.  Runs until SIGINT/SIGTERM, then shuts
@@ -486,12 +485,7 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
           Printf.eprintf "dct: serve: --listen: %s\n" e;
           exit 2
     in
-    let backend ~on_step =
-      match parallel_mode with
-      | None -> Dct_net.Backend.seq ~on_step cfg
-      | Some mode -> Dct_net.Backend.parallel ~mode ~on_step cfg
-    in
-    let srv = Dct_net.Server.create ~flush_ms ~backend addr in
+    let srv = Dct_net.Server.create ~flush_ms ~engine:(Eng.create cfg) addr in
     let stop_requested = ref false in
     let on_signal = Sys.Signal_handle (fun _ -> stop_requested := true) in
     Sys.set_signal Sys.sigint on_signal;
@@ -499,11 +493,11 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     let t0 = Unix.gettimeofday () in
     Dct_net.Server.start srv;
     Printf.printf
-      "dct: serve: listening on %s (%s backend, %d shard(s), batch %d, \
+      "dct: serve: listening on %s (%s executor, %d shard(s), batch %d, \
        flush %d ms); Ctrl-C to stop\n\
        %!"
       (Dct_net.Addr.to_string (Dct_net.Server.addr srv))
-      (Dct_net.Backend.name (Dct_net.Server.backend srv))
+      (Eng.executor_name executor)
       shards batch flush_ms;
     while not !stop_requested do
       Thread.delay 0.1
@@ -516,18 +510,14 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
   in
   let r =
     try
-      match (listen, parallel_mode) with
-      | Some addr_spec, _ -> serve_socket addr_spec
-      | None, None -> Eng.run (Eng.create cfg) schedule
-      | None, Some mode ->
-          let pr = Par.run ~mode cfg schedule in
-          par_info := Some pr;
-          pr.Par.base
+      match listen with
+      | Some addr_spec -> serve_socket addr_spec
+      | None -> Eng.run (Eng.create cfg) schedule
     with
     | Dct_deletion.Deletability_index.Divergence msg ->
         Printf.eprintf "gc-index DIVERGENCE: %s\n" msg;
         exit 1
-    | Par.Shard_failure (shard, msg) ->
+    | Eng.Shard_failure (shard, msg) ->
         (* a dead shard applier must never exit 0 — even one that died
            after the last awaited barrier *)
         Printf.eprintf "dct: serve: shard %d domain failed: %s\n" shard msg;
@@ -554,13 +544,10 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     str "engine" r.Eng.name;
     int_f "shards" r.Eng.shards;
     int_f "batch" r.Eng.batch;
-    (match !par_info with
-    | Some (pr : Par.report) ->
-        int_f "domains" pr.Par.domains;
-        str "mode" pr.Par.mode;
-        int_f "barriers" pr.Par.barriers;
-        field "lockstep" (string_of_bool pr.Par.lockstep)
-    | None -> str "mode" "sequential");
+    int_f "domains" r.Eng.domains;
+    str "mode" r.Eng.executor;
+    int_f "barriers" r.Eng.barriers;
+    field "lockstep" (string_of_bool r.Eng.lockstep);
     str "policy" (Policy.name policy);
     int_f "steps" r.Eng.steps;
     int_f (Si.outcome_name Si.Accepted) r.Eng.accepted;
@@ -603,12 +590,9 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
   else begin
     Printf.printf "workload: %s\n" (Format.asprintf "%a" Gen.pp_profile profile);
     Printf.printf "engine: %s\n" r.Eng.name;
-    (match !par_info with
-    | Some (pr : Par.report) ->
-        Printf.printf "parallel: %s, %d applier domain(s), %d barriers%s\n"
-          pr.Par.mode pr.Par.domains pr.Par.barriers
-          (if pr.Par.lockstep then ", lock-step (telemetry on)" else "")
-    | None -> ());
+    Printf.printf "executor: %s, %d applier domain(s), %d barriers%s\n"
+      r.Eng.executor r.Eng.domains r.Eng.barriers
+      (if r.Eng.lockstep then ", lock-step (telemetry on)" else "");
     Dct_sim.Report.print_table
       ~headers:[ "metric"; "value" ]
       [
@@ -668,41 +652,23 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
   end
   else begin
     try
-      match parallel_mode with
-      | Some mode ->
-          let d =
-            Par.differential ~mode ?oracle ~partitioner ?gc_index ~shards
-              ~batch ~policy schedule
-          in
-          if not json then begin
-            print_newline ();
-            Format.printf "%a@." Par.pp_differential d
-          end;
-          if Par.differential_ok d then 0
-          else begin
-            Printf.eprintf
-              "dct: serve: differential FAILED (parallel engine diverges from \
-               the single-node scheduler or the sequential engine)\n";
-            1
-          end
-      | None ->
-          let d =
-            Eng.differential ?oracle ~partitioner ?gc_index ~shards ~batch
-              ~policy schedule
-          in
-          if not json then begin
-            print_newline ();
-            Format.printf "%a@." Eng.pp_differential d
-          end;
-          if Eng.differential_ok d then 0
-          else begin
-            Printf.eprintf
-              "dct: serve: differential FAILED (engine diverges from the \
-               single-node scheduler)\n";
-            1
-          end
-    with Par.Shard_failure (shard, msg) ->
-      (* the differential's parallel run can lose an applier too *)
+      let d =
+        Eng.differential ~executor ?oracle ~partitioner ?gc_index ~shards
+          ~batch ~policy schedule
+      in
+      if not json then begin
+        print_newline ();
+        Format.printf "%a@." Eng.pp_differential d
+      end;
+      if Eng.differential_ok d then 0
+      else begin
+        Printf.eprintf
+          "dct: serve: differential FAILED (engine diverges from the \
+           single-node scheduler or the inline executor)\n";
+        1
+      end
+    with Eng.Shard_failure (shard, msg) ->
+      (* the differential's run can lose an applier too *)
       Printf.eprintf "dct: serve: shard %d domain failed: %s\n" shard msg;
       1
   end
@@ -762,10 +728,10 @@ let serve_cmd =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "$(docv) > 1 runs the parallel engine: one OCaml domain per \
-             shard applying commands behind the sequential coordinator. \
-             Decision traces are identical to the sequential engine's by \
-             construction. Falls back to the sequential engine (with a \
+            "$(docv) > 1 selects the domains executor: one OCaml domain \
+             per shard applying commands behind the coordinator. Decision \
+             traces are identical to the default inline executor's by \
+             construction. Falls back to the inline executor (with a \
              note) on a single-core host or with $(docv) = 1.")
   in
   let replay_arg =
@@ -774,7 +740,7 @@ let serve_cmd =
       & opt (some int) None
       & info [ "replay" ] ~docv:"SEED"
           ~doc:
-            "Run the parallel engine's protocol in the deterministic \
+            "Run the domains executor's protocol in the deterministic \
              single-threaded interleaving simulator, with $(docv) \
              choosing which shard advances between coordinator sends. \
              Every seed must produce identical results; overrides \
@@ -788,10 +754,10 @@ let serve_cmd =
             "Re-run the same step sequence through a single-node \
              conflict-graph scheduler in lock-step and verify identical \
              accept/reject outcomes, per-shard residency bounded by the \
-             single-node residency, and identical final store contents \
-             (under --domains/--replay additionally: identical deletion \
-             rounds, per-shard state, and telemetry trace vs the \
-             sequential engine); exit 1 on any divergence.")
+             single-node residency, identical deletion rounds, and \
+             identical final store contents (under --domains/--replay \
+             additionally: identical per-shard state and telemetry trace \
+             vs the inline executor); exit 1 on any divergence.")
   in
   let listen_arg =
     Arg.(
@@ -932,7 +898,6 @@ let client_cmd =
 let bench_net mix_spec clients txns_per_client keys shards batch policy
     gc_index domains replay flush_ms dialect_line seed json =
   let module Eng = Dct_engine.Engine in
-  let module Par = Dct_engine.Parallel in
   let module Net = Dct_net in
   let module Mix = Dct_workload.Mix in
   let module Metrics = Dct_telemetry.Metrics in
@@ -943,32 +908,29 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
         Printf.eprintf "dct: bench-net: %s\n" e;
         exit 2
   in
-  let parallel_mode =
+  let executor =
     match replay with
-    | Some interleaving_seed -> Some (Par.Replay interleaving_seed)
+    | Some interleaving_seed -> Eng.Replay interleaving_seed
     | None ->
-        if domains > 1 && Par.available_domains () > 1 then Some Par.Domains
+        if domains > 1 && Eng.available_domains () > 1 then Eng.Domains
         else begin
           if domains > 1 then
             Printf.eprintf
               "dct: bench-net: single-core host: --domains %d falls back to \
-               the sequential engine\n"
+               the inline executor\n"
               domains;
-          None
+          Eng.Inline
         end
   in
-  let cfg = Eng.config ~policy ?gc_index ~shards ~batch () in
-  let backend ~on_step =
-    match parallel_mode with
-    | None -> Net.Backend.seq ~on_step cfg
-    | Some mode -> Net.Backend.parallel ~mode ~on_step cfg
-  in
+  let cfg = Eng.config ~policy ?gc_index ~executor ~shards ~batch () in
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "dct-bench-%d.sock" (Unix.getpid ()))
   in
-  let srv = Net.Server.create ~flush_ms ~backend (Net.Addr.Unix_path sock) in
+  let srv =
+    Net.Server.create ~flush_ms ~engine:(Eng.create cfg) (Net.Addr.Unix_path sock)
+  in
   Net.Server.start srv;
   let dialect = if dialect_line then Net.Wire.Line else Net.Wire.Binary in
   let dcfg =
@@ -978,7 +940,7 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
   Net.Server.stop srv;
   let report =
     try Net.Server.finish srv ~wall_seconds:dres.Net.Driver.wall_seconds
-    with Par.Shard_failure (shard, msg) ->
+    with Eng.Shard_failure (shard, msg) ->
       Printf.eprintf "dct: bench-net: shard %d domain failed: %s\n" shard msg;
       exit 1
   in
@@ -996,7 +958,7 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
     let int_f k v = field k (string_of_int v) in
     let float_f k v = field k (Printf.sprintf "%.6g" v) in
     str "mix" (Mix.name mix);
-    str "backend" (Net.Backend.name (Net.Server.backend srv));
+    str "backend" report.Eng.executor;
     int_f "shards" shards;
     int_f "batch" batch;
     int_f "clients" clients;
@@ -1020,7 +982,7 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
     Dct_sim.Report.print_table
       ~headers:[ "metric"; "value" ]
       [
-        [ "backend"; Net.Backend.name (Net.Server.backend srv) ];
+        [ "backend"; report.Eng.executor ];
         [ "clients"; string_of_int clients ];
         [ "transactions"; string_of_int dres.Net.Driver.txns ];
         [ "completed"; string_of_int dres.Net.Driver.completed ];
@@ -1074,7 +1036,7 @@ let bench_net_cmd =
     Arg.(
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
-          ~doc:"$(docv) > 1 serves from the parallel engine.")
+          ~doc:"$(docv) > 1 serves from the domains executor.")
   in
   let replay_arg =
     Arg.(
@@ -1082,8 +1044,8 @@ let bench_net_cmd =
       & opt (some int) None
       & info [ "replay" ] ~docv:"SEED"
           ~doc:
-            "Serve from the parallel engine's deterministic interleaving \
-             simulator; overrides --domains.")
+            "Serve from the domains executor's deterministic \
+             interleaving simulator; overrides --domains.")
   in
   let flush_ms_arg =
     Arg.(

@@ -68,15 +68,9 @@ type t = {
          empty for every state without an attached index *)
 }
 
-let create ?(with_closure = false) ?oracle ?(tracer = Tracer.disabled) () =
+let create ?oracle ?(tracer = Tracer.disabled) () =
   let probe = Tracer.probe tracer in
-  let oracle =
-    match (oracle, with_closure) with
-    | Some backend, _ -> Some (Dct_graph.Cycle_oracle.create ?probe backend)
-    | None, true ->
-        Some (Dct_graph.Cycle_oracle.create ?probe Dct_graph.Cycle_oracle.Closure)
-    | None, false -> None
-  in
+  let oracle = Option.map (Dct_graph.Cycle_oracle.create ?probe) oracle in
   {
     g = Digraph.create ();
     oracle;

@@ -43,7 +43,6 @@ val on_mutation : t -> (mutation -> unit) -> unit
     corrupt an index attached to the original). *)
 
 val create :
-  ?with_closure:bool ->
   ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?tracer:Dct_telemetry.Tracer.t ->
   unit ->
@@ -55,9 +54,7 @@ val create :
     (Pearce–Kelly incremental topological order — near-free checks on
     sparse graphs, rebuild-free deletion) or [Checked] (both in
     lock-step, raising {!Dct_graph.Cycle_oracle.Disagreement} on any
-    divergence).  [with_closure:true] (default false) is the historical
-    spelling of [~oracle:Closure] and is kept for compatibility; when
-    both are given, [oracle] wins.  All backends are
+    divergence).  All backends are
     decision-equivalent, so the choice is a cost profile, not a
     semantics (benchmarked in the oracle sweep).  [tracer] (default
     {!Dct_telemetry.Tracer.disabled}) is the run-wide telemetry handle:
@@ -198,9 +195,8 @@ val resident_bytes : t -> int
     ({!aborted_txns}/{!deleted_txns}) are excluded — they record
     history, not resident state.  Derived from capacities and live
     counts only, so two replicas driven by identical operation
-    sequences report identical values (the parallel engine's shard
-    replicas and the socket server depend on this for byte-identical
-    traces). *)
+    sequences report identical values (the engine's executors and the
+    socket server depend on this for byte-identical traces). *)
 
 (** {1 Internal — used by {!Reduced_graph}} *)
 

@@ -1,4 +1,4 @@
-(** Group-commit style admission control — a mutex-batched MPSC queue.
+(** Group-commit style admission control.
 
     Steps are not processed as they arrive; they accumulate in a FIFO
     batch of at most [B] steps.  {!submit} hands the full batch back the
@@ -6,22 +6,15 @@
     engine's "group-commit timer" — in this synchronous reproduction the
     caller decides when a tick happens, e.g. at end of input).
 
-    Every operation is serialized on an internal mutex, so the queue is
-    safe under concurrent producer {e domains}: {!post} enqueues without
-    claiming a batch (the MPSC producer side), {!post_batch} lands a
-    client's whole burst contiguously, and the single consumer drains
-    with {!take_batch}/{!tick}.  Linearizability contract (pinned by the
-    QCheck property in [test_parallel.ml]): the drained order is an
-    interleaving of the producers' sequences that preserves each
-    producer's own submission order, and a {!post_batch} is never
-    interleaved with other steps.
+    Every operation is serialized on an internal mutex, so the counters
+    can be read from any thread; the network server additionally
+    serializes every engine call on its own lock.
 
-    Ordering is deterministic for a single producer: steps leave in
-    exactly the order they were submitted, and the workload generator's
-    PRNG seed fixes that order, so a run is reproducible bit for bit
-    regardless of batch size — batching changes {e when} decisions
-    happen (and therefore GC cadence and residency), never {e which}
-    decisions happen. *)
+    Ordering is deterministic: steps leave in exactly the order they
+    were submitted, and the workload generator's PRNG seed fixes that
+    order, so a run is reproducible bit for bit regardless of batch size
+    — batching changes {e when} decisions happen (and therefore GC
+    cadence and residency), never {e which} decisions happen. *)
 
 type t
 
@@ -37,20 +30,6 @@ val submit : t -> Dct_txn.Step.t -> Dct_txn.Step.t list option
 val tick : t -> Dct_txn.Step.t list
 (** Flush whatever is pending (possibly []), in submission order. *)
 
-(** {1 MPSC producer/consumer split} *)
-
-val post : t -> Dct_txn.Step.t -> unit
-(** Producer side: enqueue without claiming a batch.  Safe from any
-    domain. *)
-
-val post_batch : t -> Dct_txn.Step.t list -> unit
-(** Atomically enqueue a client burst: the steps land contiguously, in
-    list order.  [[]] is a no-op. *)
-
-val take_batch : t -> Dct_txn.Step.t list option
-(** Consumer side: remove and return exactly [B] steps if at least [B]
-    are pending, [None] otherwise.  Counts as a full batch. *)
-
 val pending : t -> int
 
 (** {1 Counters} (for the serve report) *)
@@ -61,6 +40,3 @@ val full_batches : t -> int
 
 val ticks : t -> int
 (** Non-empty flushes released by {!tick}. *)
-
-val posted_batches : t -> int
-(** Non-empty {!post_batch} calls. *)

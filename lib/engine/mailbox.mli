@@ -1,5 +1,5 @@
 (** A mutex-batched multi-producer queue — the message fabric of the
-    parallel engine.
+    engine's [Domains] executor.
 
     Two roles, one structure:
     - {e per-shard mailbox}: the coordinator is the single producer and

@@ -1,4 +1,5 @@
 module Step = Dct_txn.Step
+module Engine = Dct_engine.Engine
 
 type client = {
   c_io : Wire.Io.t;
@@ -11,7 +12,7 @@ type client = {
 type t = {
   listen_fd : Unix.file_descr;
   addr : Addr.t;
-  backend : Backend.t;
+  engine : Engine.t;
   lock : Mutex.t;  (** serializes every engine access *)
   waiters : client Queue.t;
       (** issuing client of each submitted-but-undecided step, in
@@ -29,7 +30,7 @@ type t = {
 }
 
 let addr t = t.addr
-let backend t = t.backend
+let engine t = t.engine
 let connections t = t.connections
 let proto_errors t = t.proto_errors
 
@@ -45,20 +46,21 @@ let send_to c resp =
     Mutex.unlock c.c_wlock
   end
 
-let create ?(flush_ms = 20) ~backend addr =
+let create ?(flush_ms = 20) ~engine addr =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listen_fd, bound = Addr.listen addr in
   let waiters = Queue.create () in
-  let on_step idx _step outcome =
-    match Queue.take_opt waiters with
-    | Some c -> send_to c (Wire.Outcome { step = idx; outcome })
-    | None -> ()
-  in
+  Engine.set_on_step engine
+    (Some
+       (fun idx _step outcome ->
+         match Queue.take_opt waiters with
+         | Some c -> send_to c (Wire.Outcome { step = idx; outcome })
+         | None -> ()));
   {
     listen_fd;
     addr = bound;
-    backend = backend ~on_step;
+    engine;
     lock = Mutex.create ();
     waiters;
     flush_ms;
@@ -75,6 +77,18 @@ let create ?(flush_ms = 20) ~backend addr =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* Coordinator-side counters only: shard state is off limits mid-run
+   under the Domains executor. *)
+let stats e =
+  [
+    ("steps", Engine.steps_processed e);
+    ("pending", Engine.pending e);
+    ("shards", Engine.shard_count e);
+    ( "resident",
+      Dct_deletion.Graph_state.txn_count
+        (Dct_engine.Coordinator.graph_state (Engine.coordinator e)) );
+  ]
 
 let step_of_request = function
   | Wire.Begin txn -> Some (Step.Begin txn)
@@ -94,7 +108,7 @@ let handle_request t c req =
           (* push before submit: a full batch decides this step — and
              routes its outcome — before submit returns *)
           Queue.push c t.waiters;
-          Backend.submit t.backend step)
+          Engine.submit t.engine step)
   | None -> (
       match req with
       | Wire.Abort txn ->
@@ -102,16 +116,16 @@ let handle_request t c req =
              reply, keeping its response stream in issue order *)
           let b =
             locked t (fun () ->
-                Backend.tick t.backend;
-                Backend.abort t.backend txn)
+                Engine.tick t.engine;
+                Engine.abort t.engine txn)
           in
           Hashtbl.remove c.c_txns txn;
           send_to c (Wire.Abort_reply b)
       | Wire.Stats ->
           let stats =
             locked t (fun () ->
-                Backend.tick t.backend;
-                Backend.stats t.backend)
+                Engine.tick t.engine;
+                stats t.engine)
           in
           send_to c
             (Wire.Stats_reply
@@ -130,7 +144,7 @@ let cleanup_client t c =
   let orphans = Hashtbl.fold (fun txn () acc -> txn :: acc) c.c_txns [] in
   if orphans <> [] then
     locked t (fun () ->
-        List.iter (fun txn -> ignore (Backend.abort t.backend txn)) orphans);
+        List.iter (fun txn -> ignore (Engine.abort t.engine txn)) orphans);
   Hashtbl.reset c.c_txns;
   (try Unix.close (Wire.Io.fd c.c_io) with Unix.Unix_error _ -> ());
   Mutex.lock t.threads_lock;
@@ -186,7 +200,7 @@ let ticker_loop t =
     Thread.delay delay;
     if t.running then
       locked t (fun () ->
-          if Backend.pending t.backend > 0 then Backend.tick t.backend)
+          if Engine.pending t.engine > 0 then Engine.tick t.engine)
   done
 
 let start t =
@@ -221,4 +235,4 @@ let stop t =
   end
 
 let finish t ~wall_seconds =
-  locked t (fun () -> Backend.finish t.backend ~wall_seconds)
+  locked t (fun () -> Engine.finish t.engine ~wall_seconds)

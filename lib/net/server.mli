@@ -23,23 +23,19 @@
 
 type t
 
-val create :
-  ?flush_ms:int ->
-  backend:(on_step:Backend.on_step -> Backend.t) ->
-  Addr.t ->
-  t
-(** Listen on [addr] (not yet accepting — see {!start}) and build the
-    backend around the server's outcome router.  [flush_ms] (default
-    20) is the group-commit flush interval; [<= 0] disables the ticker
-    — then batches flush only when full or on control requests, which
-    is what the loopback differential uses to keep batch cadence
-    deterministic. *)
+val create : ?flush_ms:int -> engine:Dct_engine.Engine.t -> Addr.t -> t
+(** Listen on [addr] (not yet accepting — see {!start}) and install the
+    server's outcome router as the engine's per-decision callback.
+    [flush_ms] (default 20) is the group-commit flush interval; [<= 0]
+    disables the ticker — then batches flush only when full or on
+    control requests, which is what the loopback differential uses to
+    keep batch cadence deterministic. *)
 
 val addr : t -> Addr.t
 (** The address actually bound (with [Tcp (_, 0)] it carries the
     kernel-chosen port). *)
 
-val backend : t -> Backend.t
+val engine : t -> Dct_engine.Engine.t
 val connections : t -> int
 val proto_errors : t -> int
 
@@ -49,8 +45,7 @@ val stop : t -> unit
     socket path.  Idempotent. *)
 
 val finish : t -> wall_seconds:float -> Dct_engine.Engine.report
-(** Run the backend's end-of-input epilogue (final GC rounds, tracer
-    flush) and report.  Call once, after {!stop} or after all clients
-    have drained.
-    @raise Dct_engine.Parallel.Shard_failure if a parallel shard
-    applier died. *)
+(** Run the engine's end-of-input epilogue ({!Dct_engine.Engine.finish})
+    and report.  Call once, after {!stop} or after all clients have
+    drained.
+    @raise Dct_engine.Engine.Shard_failure if a shard applier died. *)

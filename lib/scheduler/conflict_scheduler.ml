@@ -19,9 +19,9 @@ type t = {
   mutable log : (int * Intset.t) list;
 }
 
-let create ?(policy = Policy.No_deletion) ?store ?wal ?(with_closure = false)
-    ?oracle ?tracer ?gc_index () =
-  let gs = Gs.create ~with_closure ?oracle ?tracer () in
+let create ?(policy = Policy.No_deletion) ?store ?wal ?oracle ?tracer ?gc_index
+    () =
+  let gs = Gs.create ?oracle ?tracer () in
   let index = Option.map (fun mode -> Dindex.attach mode gs) gc_index in
   {
     gs;
@@ -135,6 +135,5 @@ let handle_of t =
       aborted_txn = (fun txn -> Gs.was_aborted t.gs txn);
     }
 
-let handle ?policy ?store ?wal ?with_closure ?oracle ?tracer ?gc_index () =
-  handle_of
-    (create ?policy ?store ?wal ?with_closure ?oracle ?tracer ?gc_index ())
+let handle ?policy ?store ?wal ?oracle ?tracer ?gc_index () =
+  handle_of (create ?policy ?store ?wal ?oracle ?tracer ?gc_index ())

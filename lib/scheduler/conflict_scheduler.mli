@@ -14,7 +14,6 @@ val create :
   ?policy:Dct_deletion.Policy.t ->
   ?store:Dct_kv.Store.t ->
   ?wal:Dct_kv.Wal.t ->
-  ?with_closure:bool ->
   ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?tracer:Dct_telemetry.Tracer.t ->
   ?gc_index:Dct_deletion.Deletability_index.mode ->
@@ -27,9 +26,9 @@ val create :
     log's low-water mark whenever the deletion policy forgets
     transactions — the log-truncation reading of the paper.
     [oracle] selects the cycle-check engine
-    ({!Dct_graph.Cycle_oracle.backend}); [with_closure] is the historical
-    spelling of [~oracle:Closure].  Identical decisions either way,
-    different cost profile (see the oracle sweep benchmarks).
+    ({!Dct_graph.Cycle_oracle.backend}).  Identical decisions with or
+    without one, different cost profile (see the oracle sweep
+    benchmarks).
     [tracer] threads the telemetry handle through the graph state and —
     via {!handle_of} — wraps the step loop with
     {!Scheduler_intf.trace_steps}; tracing never changes a decision.
@@ -64,7 +63,6 @@ val handle :
   ?policy:Dct_deletion.Policy.t ->
   ?store:Dct_kv.Store.t ->
   ?wal:Dct_kv.Wal.t ->
-  ?with_closure:bool ->
   ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?tracer:Dct_telemetry.Tracer.t ->
   ?gc_index:Dct_deletion.Deletability_index.mode ->

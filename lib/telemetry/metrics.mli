@@ -59,7 +59,7 @@ val histo_buckets : t -> string -> (float * int) list
 val merge : into:t -> t -> unit
 (** Fold [src] into [into]: counters and histogram buckets add, gauges
     keep the max of both values and both high-water marks.  The shape
-    the parallel engine needs — each shard domain aggregates into its
+    the engine's shard appliers need — each aggregates into its
     own registry (no cross-domain mutation), and the coordinator merges
     them at join.  The fixed shared {!bounds} are what make histogram
     merging exact. *)

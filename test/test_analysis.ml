@@ -37,7 +37,7 @@ let test_clean_states () =
   let e2 = Gallery.example2 () in
   check "example 2" true (Invariant.check e2.Gallery.gs2 = []);
   (* with the closure engine, and after a genuine reduction *)
-  let gs = Gs.create ~with_closure:true () in
+  let gs = Gs.create ~oracle:Dct_graph.Cycle_oracle.Closure () in
   ignore (Rules.apply_all gs (Gallery.example1_schedule ()));
   check "closure state" true (Invariant.check gs = []);
   Reduced.delete gs 2;
@@ -85,11 +85,11 @@ let test_checked_apply_raises () =
 
 let test_selfcheck_handle () =
   List.iter
-    (fun with_closure ->
+    (fun oracle ->
       let schedule =
         Gen.basic { Gen.default with Gen.n_txns = 30; n_entities = 5; mpl = 4 }
       in
-      let t = Cs.create ~policy:Policy.Greedy_c1 ~with_closure () in
+      let t = Cs.create ~policy:Policy.Greedy_c1 ?oracle () in
       let handle =
         Invariant.selfcheck_handle
           ~gs:(fun () -> Cs.graph_state t)
@@ -103,7 +103,7 @@ let test_selfcheck_handle () =
         (Filename.check_suffix result.Dct_sim.Driver.name "+selfcheck");
       Alcotest.(check int) "observe saw every step"
         result.Dct_sim.Driver.steps !seen)
-    [ false; true ]
+    [ None; Some Dct_graph.Cycle_oracle.Closure ]
 
 (* --- Audit --- *)
 

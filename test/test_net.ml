@@ -16,8 +16,8 @@
      across mixed step/control requests.
 
    - LOOPBACK DIFFERENTIAL (the tentpole guarantee): a workload-mix
-     schedule fed through socket + server + admission into the
-     sequential and the parallel engine produces the exact outcome
+     schedule fed through socket + server + admission into the engine,
+     under each of its three executors, produces the exact outcome
      sequence and a byte-identical JSONL trace (decisions, deletion
      rounds, checkpoints) as the same engine fed in-process — the
      network layer adds transport, never behavior.
@@ -31,7 +31,6 @@
 
 module Wire = Dct_net.Wire
 module Addr = Dct_net.Addr
-module Backend = Dct_net.Backend
 module Server = Dct_net.Server
 module Client = Dct_net.Client
 module Driver = Dct_net.Driver
@@ -39,7 +38,6 @@ module Mix = Dct_workload.Mix
 module Step = Dct_txn.Step
 module Sched = Dct_sched.Scheduler_intf
 module Eng = Dct_engine.Engine
-module Par = Dct_engine.Parallel
 module Policy = Dct_deletion.Policy
 module Tracer = Dct_telemetry.Tracer
 module Sink = Dct_telemetry.Sink
@@ -224,7 +222,7 @@ let with_server ?(flush_ms = 0) ?(shards = 2) ?(batch = 1) ~name f =
   let cfg = Eng.config ~policy:Policy.Greedy_c1 ~shards ~batch () in
   let srv =
     Server.create ~flush_ms
-      ~backend:(fun ~on_step -> Backend.seq ~on_step cfg)
+      ~engine:(Eng.create cfg)
       (Addr.Unix_path (sock_path name))
   in
   Server.start srv;
@@ -350,7 +348,7 @@ let test_tcp_endpoint () =
   let cfg = Eng.config ~policy:Policy.Greedy_c1 ~shards:1 ~batch:1 () in
   let srv =
     Server.create ~flush_ms:0
-      ~backend:(fun ~on_step -> Backend.seq ~on_step cfg)
+      ~engine:(Eng.create cfg)
       (Addr.Tcp ("127.0.0.1", 0))
   in
   Server.start srv;
@@ -365,51 +363,6 @@ let test_tcp_endpoint () =
 
 (* --- the loopback differential --- *)
 
-(* Oracle events carry an ["ns"] wall-clock field no transport
-   controls; scrub it before comparing traces (same idiom as the
-   parallel engine's differential). *)
-let scrub_timings line =
-  let b = Buffer.create (String.length line) in
-  let n = String.length line in
-  let key = "\"ns\":" in
-  let klen = String.length key in
-  let i = ref 0 in
-  while !i < n do
-    if !i + klen <= n && String.sub line !i klen = key then begin
-      Buffer.add_string b key;
-      Buffer.add_char b '_';
-      i := !i + klen;
-      while
-        !i < n
-        && (match line.[!i] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr i
-      done
-    end
-    else begin
-      Buffer.add_char b line.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
-let first_trace_divergence a b =
-  if String.equal a b then None
-  else
-    let la = List.map scrub_timings (String.split_on_char '\n' a)
-    and lb = List.map scrub_timings (String.split_on_char '\n' b) in
-    let rec go n = function
-      | [], [] -> None
-      | x :: _, [] -> Some (Printf.sprintf "line %d: net has %S, ref ended" n x)
-      | [], y :: _ -> Some (Printf.sprintf "line %d: ref has %S, net ended" n y)
-      | x :: xs, y :: ys ->
-          if String.equal x y then go (n + 1) (xs, ys)
-          else Some (Printf.sprintf "line %d: net %S vs ref %S" n x y)
-    in
-    go 1 (la, lb)
-
 type side = {
   s_outcomes : (int * Sched.outcome) list;
   s_trace : string;
@@ -419,22 +372,17 @@ type side = {
 let shards = 4
 let batch = 8
 
-let traced_config () =
+let traced_config executor =
   let buf = Buffer.create 8192 in
   let tracer = Tracer.create ~sink:(Sink.memory buf) () in
-  (Eng.config ~policy:Policy.Greedy_c1 ~tracer ~shards ~batch (), buf)
+  (Eng.config ~policy:Policy.Greedy_c1 ~tracer ~executor ~shards ~batch (), buf)
 
 (* The in-process reference: the same engine fed directly. *)
-let run_reference backend_mode steps =
-  let cfg, buf = traced_config () in
+let run_reference executor steps =
+  let cfg, buf = traced_config executor in
   let outcomes = ref [] in
   let on_step idx _step o = outcomes := (idx, o) :: !outcomes in
-  let report =
-    match backend_mode with
-    | None -> Eng.run ~on_step (Eng.create cfg) steps
-    | Some mode ->
-        (Par.run ~mode ~on_decision:on_step cfg steps).Par.base
-  in
+  let report = Eng.run ~on_step (Eng.create cfg) steps in
   { s_outcomes = List.rev !outcomes; s_trace = Buffer.contents buf;
     s_report = report }
 
@@ -444,14 +392,11 @@ let run_reference backend_mode steps =
    in-process run's end-of-input tick happens, so the batch cadence
    (and with it every checkpoint and GC round) matches.  [flush_ms:0]
    keeps the group-commit timer out of the schedule. *)
-let run_via_server ~name backend_mode steps =
-  let cfg, buf = traced_config () in
-  let backend ~on_step =
-    match backend_mode with
-    | None -> Backend.seq ~on_step cfg
-    | Some mode -> Backend.parallel ~mode ~on_step cfg
+let run_via_server ~name executor steps =
+  let cfg, buf = traced_config executor in
+  let srv =
+    Server.create ~flush_ms:0 ~engine:(Eng.create cfg) (Addr.Unix_path (sock_path name))
   in
-  let srv = Server.create ~flush_ms:0 ~backend (Addr.Unix_path (sock_path name)) in
   Server.start srv;
   let cl = Client.connect (Server.addr srv) in
   List.iter (fun s -> Client.send cl (Client.request_of_step s)) steps;
@@ -485,10 +430,10 @@ let aggregate (r : Eng.report) =
     r.Eng.coordinator.Dct_engine.Coordinator.deleted_total,
     r.Eng.coordinator.Dct_engine.Coordinator.resident_hwm )
 
-let loopback_differential ~label ~mix backend_mode =
+let loopback_differential ~label ~mix executor =
   let steps = Mix.schedule mix ~n_txns:48 ~keys:128 ~mpl:6 ~seed:11 in
-  let net = run_via_server ~name:label backend_mode steps in
-  let reference = run_reference backend_mode steps in
+  let net = run_via_server ~name:label executor steps in
+  let reference = run_reference executor steps in
   check_int
     (label ^ ": one outcome per step")
     (List.length steps)
@@ -501,26 +446,26 @@ let loopback_differential ~label ~mix backend_mode =
     (List.combine net.s_outcomes reference.s_outcomes);
   (* deletion rounds, checkpoints and decisions all ride in the trace:
      byte equality (timings scrubbed) pins every one of them *)
-  (match first_trace_divergence net.s_trace reference.s_trace with
+  (match Eng.first_trace_divergence net.s_trace reference.s_trace with
   | None -> ()
   | Some d -> Alcotest.failf "%s: trace diverged: %s" label d);
   check (label ^ ": trace non-empty") true (String.length net.s_trace > 0);
   if aggregate net.s_report <> aggregate reference.s_report then
     Alcotest.failf "%s: report aggregates diverged" label
 
-let test_differential_seq_ycsb_b () =
-  loopback_differential ~label:"seq-ycsb-b" ~mix:Mix.Ycsb_b None
+let test_differential_inline_ycsb_b () =
+  loopback_differential ~label:"inline-ycsb-b" ~mix:Mix.Ycsb_b Eng.Inline
 
-let test_differential_seq_long_reader () =
-  loopback_differential ~label:"seq-long-reader" ~mix:Mix.Long_reader_pin None
+let test_differential_inline_long_reader () =
+  loopback_differential ~label:"inline-long-reader" ~mix:Mix.Long_reader_pin
+    Eng.Inline
 
-let test_differential_par_ycsb_b () =
-  loopback_differential ~label:"par-ycsb-b" ~mix:Mix.Ycsb_b
-    (Some (Par.Replay 3))
+let test_differential_replay_ycsb_b () =
+  loopback_differential ~label:"replay-ycsb-b" ~mix:Mix.Ycsb_b (Eng.Replay 3)
 
-let test_differential_par_long_reader () =
-  loopback_differential ~label:"par-long-reader" ~mix:Mix.Long_reader_pin
-    (Some (Par.Replay 3))
+let test_differential_replay_long_reader () =
+  loopback_differential ~label:"replay-long-reader" ~mix:Mix.Long_reader_pin
+    (Eng.Replay 3)
 
 (* Real applier domains behind the server: the replay runs above pin
    byte equality; this pins that actual [Domain.spawn] appliers behave
@@ -528,11 +473,11 @@ let test_differential_par_long_reader () =
    valid for a domains run). *)
 let test_differential_domains () =
   let steps = Mix.schedule Mix.Ycsb_b ~n_txns:48 ~keys:128 ~mpl:6 ~seed:11 in
-  let net = run_via_server ~name:"domains" (Some Par.Domains) steps in
-  let reference = run_reference (Some (Par.Replay 5)) steps in
+  let net = run_via_server ~name:"domains" Eng.Domains steps in
+  let reference = run_reference (Eng.Replay 5) steps in
   check "domains outcomes == replay reference" true
     (net.s_outcomes = reference.s_outcomes);
-  (match first_trace_divergence net.s_trace reference.s_trace with
+  (match Eng.first_trace_divergence net.s_trace reference.s_trace with
   | None -> ()
   | Some d -> Alcotest.failf "domains trace diverged: %s" d);
   check "domains aggregates == replay reference" true
@@ -544,7 +489,7 @@ let run_driver ~name ~mix ~dialect ~clients ~txns =
   let cfg = Eng.config ~policy:Policy.Greedy_c1 ~shards:2 ~batch:4 () in
   let srv =
     Server.create ~flush_ms:2
-      ~backend:(fun ~on_step -> Backend.seq ~on_step cfg)
+      ~engine:(Eng.create cfg)
       (Addr.Unix_path (sock_path name))
   in
   Server.start srv;
@@ -744,14 +689,14 @@ let () =
         ] );
       ( "loopback-differential",
         [
-          Alcotest.test_case "seq engine, ycsb-b" `Quick
-            test_differential_seq_ycsb_b;
-          Alcotest.test_case "seq engine, long-reader-pin" `Quick
-            test_differential_seq_long_reader;
+          Alcotest.test_case "inline, ycsb-b" `Quick
+            test_differential_inline_ycsb_b;
+          Alcotest.test_case "inline, long-reader-pin" `Quick
+            test_differential_inline_long_reader;
           Alcotest.test_case "parallel engine (replay), ycsb-b" `Quick
-            test_differential_par_ycsb_b;
+            test_differential_replay_ycsb_b;
           Alcotest.test_case "parallel engine (replay), long-reader-pin" `Quick
-            test_differential_par_long_reader;
+            test_differential_replay_long_reader;
           Alcotest.test_case "parallel engine (domains)" `Quick
             test_differential_domains;
         ] );

@@ -1,38 +1,32 @@
-(* The parallel engine's contracts:
+(* The engine's executors, held to the Inline reference:
 
-   - DIFFERENTIAL MATRIX (the tentpole guarantee, extended to domains):
-     seed x shard-count x batch-size x policy — 240 runs through the
-     seeded-interleaving replay executor — asserting byte-identical
-     decision traces, deletion rounds, final stores and per-shard state
-     against both the single-node SGT scheduler and the sequential
-     engine.  A smaller matrix runs through real Domain.spawn appliers;
-     the large real-domain matrix skips (and says so) on single-core
-     runners, where Replay mode carries the guarantee.
+   - DIFFERENTIAL MATRIX: seed x shard-count x batch-size x policy — 240
+     runs through the seeded-interleaving Replay executor — asserting
+     identical decisions and deletion rounds against the single-node
+     SGT scheduler, and identical per-shard state (residents, stores,
+     WALs, counters) and JSONL traces against the Inline executor.  A
+     smaller matrix runs through real Domain.spawn appliers; the large
+     real-domain matrix skips (and says so) on single-core runners,
+     where Replay carries the guarantee.
 
-   - REPLAY DETERMINISM: every interleaving seed produces identical
-     results — the property that makes parallel runs replayable.
-
-   - MPSC ADMISSION LINEARIZABILITY (QCheck): concurrent producer
-     domains with random batch boundaries; the drained order is an
-     interleaving preserving each producer's submission order, and a
-     post_batch burst is never interleaved.
+   - EXECUTOR INDEPENDENCE: every replay seed, a real-domain run and
+     the Inline run land on one snapshot, on the pipelined (untraced)
+     path.
 
    - MUTATION CHECKS: a dropped broadcast-GC message and a reordered
-     cross-shard batch (test-only Coordinator fault hooks) must each
-     make the differential fail — pinned here as expected-failure
-     cases, or the suite is not sensitive to the protocol.
+     cross-shard batch (test-only fault hooks) must each make the
+     differential fail — pinned here as expected-failure cases, or the
+     suite is not sensitive to the protocol; a crashed applier must
+     raise Shard_failure under every executor.
 
    - LOCKED SINK: concurrent emitters through Sink.locked can never
      interleave JSONL mid-record (the --trace under --domains fix),
      plus Metrics.merge arithmetic. *)
 
-module Par = Dct_engine.Parallel
 module Eng = Dct_engine.Engine
-module Admission = Dct_engine.Admission
 module Mailbox = Dct_engine.Mailbox
 module Shard = Dct_engine.Shard
 module Policy = Dct_deletion.Policy
-module Step = Dct_txn.Step
 module Gen = Dct_workload.Generator
 module Sink = Dct_telemetry.Sink
 module Event = Dct_telemetry.Event
@@ -74,7 +68,7 @@ let profiles =
     (120, 24, 12, 0.5, 0.3);
   ]
 
-let run_matrix ~mode_of ~shard_counts ~batches ~policies ~label =
+let run_matrix ~executor_of ~shard_counts ~batches ~policies ~label =
   let runs = ref 0 in
   let failures = ref [] in
   List.iteri
@@ -91,14 +85,14 @@ let run_matrix ~mode_of ~shard_counts ~batches ~policies ~label =
                     workload ~txns ~entities ~mpl ~theta ~shards ~cross seed
                   in
                   let d =
-                    Par.differential ~mode:(mode_of !runs) ~shards ~batch
-                      ~policy steps
+                    Eng.differential ~executor:(executor_of !runs) ~shards
+                      ~batch ~policy steps
                   in
-                  if not (Par.differential_ok d) then
+                  if not (Eng.differential_ok d) then
                     failures :=
                       Format.asprintf
                         "%s profile %d shards %d batch %d %s:@\n%a" label i
-                        shards batch (Policy.name policy) Par.pp_differential
+                        shards batch (Policy.name policy) Eng.pp_differential
                         d
                       :: !failures)
                 policies)
@@ -110,7 +104,7 @@ let run_matrix ~mode_of ~shard_counts ~batches ~policies ~label =
 let test_replay_matrix () =
   let runs, failures =
     run_matrix
-      ~mode_of:(fun i -> Par.Replay (i * 31))
+      ~executor_of:(fun i -> Eng.Replay (i * 31))
       ~shard_counts:[ 1; 2; 4; 8 ]
       ~batches:[ 4; 16 ]
       ~policies:[ Policy.Noncurrent; Policy.Greedy_c1; Policy.Exact_max ]
@@ -129,7 +123,7 @@ let test_replay_matrix () =
 let test_domains_sanity () =
   let runs, failures =
     run_matrix
-      ~mode_of:(fun _ -> Par.Domains)
+      ~executor_of:(fun _ -> Eng.Domains)
       ~shard_counts:[ 2; 4 ] ~batches:[ 8 ]
       ~policies:[ Policy.Greedy_c1 ] ~label:"domains"
   in
@@ -141,7 +135,7 @@ let test_domains_sanity () =
         (List.length failures) runs f
 
 let test_domains_matrix () =
-  if Par.available_domains () = 1 then begin
+  if Eng.available_domains () = 1 then begin
     print_endline
       "  [skip] single-core runner: the full real-domain matrix needs \
        multiple cores; Replay mode carries the differential guarantee \
@@ -152,7 +146,7 @@ let test_domains_matrix () =
   else begin
     let runs, failures =
       run_matrix
-        ~mode_of:(fun _ -> Par.Domains)
+        ~executor_of:(fun _ -> Eng.Domains)
         ~shard_counts:[ 1; 2; 4; 8 ]
         ~batches:[ 4; 16 ]
         ~policies:[ Policy.Noncurrent; Policy.Greedy_c1; Policy.Exact_max ]
@@ -167,194 +161,72 @@ let test_domains_matrix () =
           (List.length failures) runs f
   end
 
-(* --- replay determinism: the interleaving seed is unobservable --- *)
+(* --- executor independence: the executor and the interleaving seed
+   are unobservable --- *)
 
-let snapshot_of_report (r : Par.report) =
-  let shard_snap sh =
-    let stats = Shard.stats sh in
+(* Untraced, so the coordinator pipelines: shards run one batch behind
+   it under every executor. *)
+let snapshot executor ~shards steps =
+  let eng = Eng.create (Eng.config ~policy:Policy.Greedy_c1 ~executor ~shards ~batch:8 ()) in
+  let r = Eng.run eng steps in
+  let shard_snap i =
+    let sh = Eng.shard eng i in
     let store =
       Intset.to_sorted_list (Store.entities (Shard.store sh))
       |> List.map (fun e -> (e, Store.peek (Shard.store sh) ~entity:e))
     in
-    (stats, store)
+    (Shard.stats sh, store)
   in
-  ( r.Par.base.Eng.steps,
-    r.Par.base.Eng.accepted,
-    r.Par.base.Eng.rejected,
-    r.Par.base.Eng.committed,
-    r.Par.base.Eng.aborted,
-    r.Par.barriers,
-    Array.to_list (Array.map shard_snap r.Par.final_shards) )
+  check "pipelined" false r.Eng.lockstep;
+  ( ( r.Eng.steps,
+      r.Eng.accepted,
+      r.Eng.rejected,
+      r.Eng.committed,
+      r.Eng.aborted,
+      r.Eng.barriers ),
+    (r.Eng.cross_shard_arcs, r.Eng.local_arcs, r.Eng.distributed_txns),
+    List.init shards shard_snap )
 
 let test_replay_seed_invariance () =
   let steps = workload ~txns:100 ~entities:32 ~mpl:8 ~theta:0.9 ~shards:4
       ~cross:0.4 77 in
-  let run_with seed =
-    let cfg = Eng.config ~policy:Policy.Greedy_c1 ~shards:4 ~batch:8 () in
-    snapshot_of_report (Par.run ~mode:(Par.Replay seed) cfg steps)
-  in
-  let reference = run_with 0 in
+  let reference = snapshot Eng.Inline ~shards:4 steps in
   List.iter
     (fun seed ->
       check
-        (Printf.sprintf "seed %d produces identical results" seed)
+        (Printf.sprintf "replay seed %d matches inline" seed)
         true
-        (run_with seed = reference))
-    [ 1; 7; 42; 1234; 99991 ]
+        (snapshot (Eng.Replay seed) ~shards:4 steps = reference))
+    [ 0; 1; 7; 42; 1234; 99991 ]
 
 (* And the Domains schedule is equally unobservable: a real-domain run
-   lands on the same snapshot as every replay. *)
+   lands on the same snapshot as a replay and the Inline run. *)
 let test_domains_match_replay () =
   let steps = workload ~txns:80 ~entities:24 ~mpl:8 ~theta:0.9 ~shards:3
       ~cross:0.3 31 in
-  let cfg () = Eng.config ~policy:Policy.Greedy_c1 ~shards:3 ~batch:8 () in
-  let via_domains =
-    snapshot_of_report (Par.run ~mode:Par.Domains (cfg ()) steps)
+  let via_inline = snapshot Eng.Inline ~shards:3 steps in
+  check "domains == inline" true (snapshot Eng.Domains ~shards:3 steps = via_inline);
+  check "replay == inline" true (snapshot (Eng.Replay 5) ~shards:3 steps = via_inline)
+
+(* [report] on a live engine reaps every outstanding barrier before it
+   reads shard state — under Domains that means awaiting it — so a
+   mid-run report is the same under every executor. *)
+let test_mid_run_report () =
+  let steps = workload ~txns:60 ~entities:24 ~mpl:6 ~theta:0.9 ~shards:3
+      ~cross:0.3 17 in
+  let mid_run executor =
+    let eng = Eng.create (Eng.config ~policy:Policy.Greedy_c1 ~executor ~shards:3 ~batch:8 ()) in
+    List.iter (Eng.submit eng) steps;
+    Eng.tick eng;
+    let r = Eng.report eng ~wall_seconds:0.0 in
+    ignore (Eng.finish eng ~wall_seconds:0.0);
+    ( (r.Eng.committed, r.Eng.aborted, r.Eng.barriers),
+      (r.Eng.cross_shard_arcs, r.Eng.local_arcs),
+      Array.to_list r.Eng.shard_stats )
   in
-  let via_replay =
-    snapshot_of_report (Par.run ~mode:(Par.Replay 5) (cfg ()) steps)
-  in
-  check "domains == replay" true (via_domains = via_replay)
-
-(* --- QCheck: MPSC admission linearizability under producer domains --- *)
-
-(* Each producer posts its bursts (size 1 via post, else post_batch) of
-   tagged steps [Read (producer, seq)]; a consumer drains concurrently
-   with take_batch + a final tick.  The concatenated drain order must
-   be an interleaving that preserves each producer's submission order,
-   with every burst contiguous. *)
-let run_mpsc ~batch ~(bursts : int list list) =
-  let t = Admission.create ~batch in
-  let done_count = Atomic.make 0 in
-  let n_producers = List.length bursts in
-  let producers =
-    List.mapi
-      (fun p sizes ->
-        Domain.spawn (fun () ->
-            let seq = ref 0 in
-            List.iter
-              (fun size ->
-                let items =
-                  List.init size (fun k -> Step.Read (p, !seq + k))
-                in
-                seq := !seq + size;
-                match items with
-                | [ one ] -> Admission.post t one
-                | many -> Admission.post_batch t many)
-              sizes;
-            Atomic.incr done_count))
-      bursts
-  in
-  let drained = ref [] in
-  let rec consume () =
-    match Admission.take_batch t with
-    | Some b ->
-        drained := List.rev_append b !drained;
-        consume ()
-    | None ->
-        if Atomic.get done_count < n_producers then begin
-          Domain.cpu_relax ();
-          consume ()
-        end
-  in
-  consume ();
-  List.iter Domain.join producers;
-  (* Producers are done: one final take_batch loop plus a tick drains
-     the tail. *)
-  let rec drain_tail () =
-    match Admission.take_batch t with
-    | Some b ->
-        drained := List.rev_append b !drained;
-        drain_tail ()
-    | None -> drained := List.rev_append (Admission.tick t) !drained
-  in
-  drain_tail ();
-  List.rev !drained
-
-let decode = function
-  | Step.Read (p, s) -> (p, s)
-  | _ -> Alcotest.fail "unexpected step shape"
-
-let mpsc_ok ~bursts drained =
-  let decoded = List.map decode drained in
-  let posted p = List.fold_left ( + ) 0 (List.nth bursts p) in
-  let n_producers = List.length bursts in
-  (* multiset equality *)
-  let total = List.fold_left (fun a sizes -> a + List.fold_left ( + ) 0 sizes) 0 bursts in
-  if List.length decoded <> total then Error "lost or duplicated steps"
-  else if
-    (* per-producer order: producer p's elements appear as 0,1,2,... *)
-    not
-      (List.for_all
-         (fun p ->
-           let mine = List.filter (fun (q, _) -> q = p) decoded in
-           List.mapi (fun i _ -> i) mine
-           = List.map snd mine
-           && List.length mine = posted p)
-         (List.init n_producers Fun.id))
-  then Error "a producer's submission order was not preserved"
-  else begin
-    (* burst contiguity: each multi-element burst occupies consecutive
-       positions of the global drain order *)
-    let pos = Hashtbl.create 64 in
-    List.iteri (fun i x -> Hashtbl.replace pos x i) decoded;
-    let contiguous p sizes =
-      let seq = ref 0 in
-      List.for_all
-        (fun size ->
-          let first = !seq in
-          seq := !seq + size;
-          size = 1
-          ||
-          let base = Hashtbl.find pos (p, first) in
-          List.init size (fun k -> Hashtbl.find pos (p, first + k))
-          = List.init size (fun k -> base + k))
-        sizes
-    in
-    if List.for_all2 contiguous (List.init n_producers Fun.id) bursts |> not
-    then Error "a post_batch burst was interleaved"
-    else Ok ()
-  end
-  [@@warning "-32"]
-
-let mpsc_gen =
-  QCheck.make
-    ~print:(fun (batch, bursts) ->
-      Printf.sprintf "batch=%d bursts=%s" batch
-        (String.concat ";"
-           (List.map
-              (fun s -> String.concat "," (List.map string_of_int s))
-              bursts)))
-    QCheck.Gen.(
-      pair (int_range 1 7)
-        (list_size (return 3) (list_size (int_range 1 8) (int_range 1 4))))
-
-let prop_mpsc_linearizable =
-  QCheck.Test.make ~count:30 ~name:"MPSC admission linearizability"
-    mpsc_gen
-    (fun (batch, bursts) ->
-      let drained = run_mpsc ~batch ~bursts in
-      match mpsc_ok ~bursts drained with
-      | Ok () -> true
-      | Error e -> QCheck.Test.fail_reportf "%s" e)
-
-(* Single-producer determinism through the MPSC face: post/take_batch
-   round-trips in exact order, and the counters add up. *)
-let test_admission_mpsc_unit () =
-  let t = Admission.create ~batch:3 in
-  Admission.post t (Step.Read (0, 0));
-  check "no batch below B" true (Admission.take_batch t = None);
-  Admission.post_batch t [ Step.Read (0, 1); Step.Read (0, 2); Step.Read (0, 3) ];
-  check_int "posted_batches" 1 (Admission.posted_batches t);
-  (match Admission.take_batch t with
-  | Some [ Step.Read (0, 0); Step.Read (0, 1); Step.Read (0, 2) ] -> ()
-  | _ -> Alcotest.fail "take_batch returned the wrong prefix");
-  check_int "pending after take" 1 (Admission.pending t);
-  check_int "submitted" 4 (Admission.submitted t);
-  check_int "full_batches" 1 (Admission.full_batches t);
-  (match Admission.tick t with
-  | [ Step.Read (0, 3) ] -> ()
-  | _ -> Alcotest.fail "tick did not flush the tail")
+  let inline = mid_run Eng.Inline in
+  check "domains == inline" true (mid_run Eng.Domains = inline);
+  check "replay == inline" true (mid_run (Eng.Replay 9) = inline)
 
 (* --- mutation checks: the fault hooks must be detected --- *)
 
@@ -370,19 +242,19 @@ let scan_fault ~kind ~set_fault =
   let detections = ref [] in
   let fired = ref 0 in
   for n = 0 to 7 do
-    let fault = Par.Fault.create () in
+    let fault = Eng.Fault.create () in
     set_fault fault n;
     let d =
-      Par.differential ~mode:(Par.Replay 1) ~fault ~shards:4 ~batch:8
+      Eng.differential ~executor:(Eng.Replay 1) ~fault ~shards:4 ~batch:8
         ~policy:Policy.Greedy_c1 (mutation_workload 11)
     in
     let injected =
       match kind with
-      | `Drop -> fault.Par.Fault.dropped
-      | `Reorder -> fault.Par.Fault.reordered
+      | `Drop -> fault.Eng.Fault.dropped
+      | `Reorder -> fault.Eng.Fault.reordered
     in
     fired := !fired + injected;
-    if injected > 0 && not (Par.differential_ok d) then
+    if injected > 0 && not (Eng.differential_ok d) then
       detections := n :: !detections
   done;
   (!fired, List.rev !detections)
@@ -390,7 +262,7 @@ let scan_fault ~kind ~set_fault =
 let test_mutation_drop_broadcast () =
   let fired, detections =
     scan_fault ~kind:`Drop ~set_fault:(fun f n ->
-        f.Par.Fault.drop_broadcast <- Some (n, 0))
+        f.Eng.Fault.drop_broadcast <- Some (n, 0))
   in
   check ("drop hook fired, count " ^ string_of_int fired) true (fired > 0);
   check
@@ -401,7 +273,7 @@ let test_mutation_drop_broadcast () =
 let test_mutation_reorder_batch () =
   let fired, detections =
     scan_fault ~kind:`Reorder ~set_fault:(fun f n ->
-        f.Par.Fault.reorder_batch <- Some (n, 0))
+        f.Eng.Fault.reorder_batch <- Some (n, 0))
   in
   check ("reorder hook fired, count " ^ string_of_int fired) true (fired > 0);
   check
@@ -411,50 +283,43 @@ let test_mutation_reorder_batch () =
 
 (* A crashed shard applier must surface as [Shard_failure], never as a
    clean exit — the bug class where `dct serve` reported success over a
-   dead shard.  Both the batch driver and the incremental handle (the
-   network server's path) are covered; the handle variant exercises the
-   shutdown drain that catches appliers dying after their last awaited
-   barrier. *)
+   dead shard — under every executor.  The Domains applier dies on its
+   own thread; the Inline run is driven the way the network server
+   drives the engine (submit, then finish), so finish's drain of late
+   failures is covered too. *)
 let test_crash_surfaces_shard_failure () =
   let steps = mutation_workload 11 in
-  let expect_failure what f =
-    match f () with
-    | exception Par.Shard_failure (shard, msg) ->
+  let expect_failure executor drive =
+    let what = Eng.executor_name executor in
+    let fault = Eng.Fault.create () in
+    fault.Eng.Fault.crash_cmd <- Some (0, 1);
+    let eng = Eng.create ~fault (Eng.config ~policy:Policy.Greedy_c1 ~executor ~shards:4 ~batch:8 ()) in
+    (match drive eng with
+    | exception Eng.Shard_failure (shard, msg) ->
         check (what ^ " names a shard") true (shard >= 0 && shard < 4);
         check (what ^ " carries a description") true (msg <> "")
-    | _ -> Alcotest.failf "%s: crash injected but the run exited cleanly" what
+    | _ -> Alcotest.failf "%s: crash injected but the run exited cleanly" what);
+    check (what ^ " crash injected") true (fault.Eng.Fault.crashes > 0)
   in
-  let fault = Par.Fault.create () in
-  fault.Par.Fault.crash_cmd <- Some (0, 1);
-  let cfg () = Eng.config ~policy:Policy.Greedy_c1 ~shards:4 ~batch:8 () in
-  expect_failure "run" (fun () ->
-      ignore (Par.run ~mode:(Par.Replay 1) ~fault (cfg ()) steps));
-  check "run crash injected" true (fault.Par.Fault.crashes > 0);
-  let fault = Par.Fault.create () in
-  fault.Par.Fault.crash_cmd <- Some (0, 1);
-  expect_failure "handle" (fun () ->
-      let h = Par.create_handle ~mode:(Par.Replay 1) ~fault (cfg ()) in
-      List.iter (Par.submit h) steps;
-      ignore (Par.finish h ~wall_seconds:0.0));
-  check "handle crash injected" true (fault.Par.Fault.crashes > 0);
-  (* and under real domains, where the applier dies on its own thread *)
-  let fault = Par.Fault.create () in
-  fault.Par.Fault.crash_cmd <- Some (0, 1);
-  expect_failure "domains" (fun () ->
-      ignore (Par.run ~mode:Par.Domains ~fault (cfg ()) steps))
+  let run eng = ignore (Eng.run eng steps) in
+  expect_failure (Eng.Replay 1) run;
+  expect_failure Eng.Domains run;
+  expect_failure Eng.Inline (fun eng ->
+      List.iter (Eng.submit eng) steps;
+      ignore (Eng.finish eng ~wall_seconds:0.0))
 
 (* The same hooks must be invisible when disarmed: a Fault.create ()
    with no mutation set changes nothing. *)
 let test_fault_disarmed () =
-  let fault = Par.Fault.create () in
+  let fault = Eng.Fault.create () in
   let d =
-    Par.differential ~mode:(Par.Replay 1) ~fault ~shards:4 ~batch:8
+    Eng.differential ~executor:(Eng.Replay 1) ~fault ~shards:4 ~batch:8
       ~policy:Policy.Greedy_c1 (mutation_workload 11)
   in
-  check_int "nothing dropped" 0 fault.Par.Fault.dropped;
-  check_int "nothing reordered" 0 fault.Par.Fault.reordered;
-  if not (Par.differential_ok d) then
-    Alcotest.failf "disarmed fault diverged:@\n%a" Par.pp_differential d
+  check_int "nothing dropped" 0 fault.Eng.Fault.dropped;
+  check_int "nothing reordered" 0 fault.Eng.Fault.reordered;
+  if not (Eng.differential_ok d) then
+    Alcotest.failf "disarmed fault diverged:@\n%a" Eng.pp_differential d
 
 (* --- locked sink: no mid-record interleaving under domains --- *)
 
@@ -507,7 +372,7 @@ let test_locked_sink_idempotent () =
 
 (* The engine end-to-end version of the same guarantee: a traced
    Domains run produces a parseable trace byte-identical (modulo
-   timing) to the sequential engine's — already asserted inside every
+   timing) to the Inline executor's — already asserted inside every
    matrix differential via trace_divergence = None; here we pin that a
    trace actually flowed (non-vacuous check). *)
 let test_traced_domains_run () =
@@ -516,11 +381,12 @@ let test_traced_domains_run () =
     Dct_telemetry.Tracer.create ~sink:(Sink.locked (Sink.memory buf)) ()
   in
   let cfg =
-    Eng.config ~policy:Policy.Greedy_c1 ~tracer ~shards:3 ~batch:8 ()
+    Eng.config ~policy:Policy.Greedy_c1 ~tracer ~executor:Eng.Domains ~shards:3
+      ~batch:8 ()
   in
   let steps = workload ~txns:40 ~entities:24 ~shards:3 3 in
-  let r = Par.run ~mode:Par.Domains cfg steps in
-  check "lockstep under tracing" true r.Par.lockstep;
+  let r = Eng.run (Eng.create cfg) steps in
+  check "lockstep under tracing" true r.Eng.lockstep;
   match Sink.parse_string (Buffer.contents buf) with
   | Error e -> Alcotest.failf "domains trace malformed: %s" e
   | Ok events ->
@@ -559,10 +425,11 @@ let test_worker_metrics_merged () =
   let m = Metrics.create () in
   let tracer = Dct_telemetry.Tracer.create ~metrics:m () in
   let cfg =
-    Eng.config ~policy:Policy.Greedy_c1 ~tracer ~shards:2 ~batch:8 ()
+    Eng.config ~policy:Policy.Greedy_c1 ~tracer ~executor:(Eng.Replay 3)
+      ~shards:2 ~batch:8 ()
   in
   let steps = workload ~txns:40 ~entities:24 ~shards:2 9 in
-  let _ = Par.run ~mode:(Par.Replay 3) cfg steps in
+  let _ = Eng.run (Eng.create cfg) steps in
   check "applier command counter merged" true (Metrics.counter m "par.cmds" > 0);
   check "applier gc counter merged" true (Metrics.counter m "par.gc_runs" > 0)
 
@@ -593,7 +460,7 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "240-run replay matrix vs single-node + sequential"
+          Alcotest.test_case "240-run replay matrix vs single-node + inline"
             `Slow test_replay_matrix;
           Alcotest.test_case "real-domain sanity matrix" `Slow
             test_domains_sanity;
@@ -607,11 +474,10 @@ let () =
           Alcotest.test_case "domains run == replay run" `Quick
             test_domains_match_replay;
         ] );
-      ( "admission-mpsc",
+      ( "mid-run-report",
         [
-          QCheck_alcotest.to_alcotest prop_mpsc_linearizable;
-          Alcotest.test_case "post/take_batch unit" `Quick
-            test_admission_mpsc_unit;
+          Alcotest.test_case "every executor reports alike" `Quick
+            test_mid_run_report;
         ] );
       ( "mutation",
         [

@@ -103,7 +103,7 @@ let test_closure_engine_equivalent () =
         (fun seed ->
           let schedule = Gen.basic (profile seed) in
           let dfs = Cs.create ~policy () in
-          let clo = Cs.create ~policy ~with_closure:true () in
+          let clo = Cs.create ~policy ~oracle:Dct_graph.Cycle_oracle.Closure () in
           List.iter
             (fun s ->
               let a = Cs.step dfs s in
