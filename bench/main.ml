@@ -103,8 +103,12 @@ let replay_arcs_naive () =
     arc_stream
 
 let replay_arcs_pk () =
-  let o = Dct_graph.Order.create () in
-  List.iter (fun (src, dst) -> ignore (Dct_graph.Order.add_arc o ~src ~dst)) arc_stream
+  let o = Dct_graph.Topo_order.create () in
+  List.iter
+    (fun (src, dst) ->
+      if not (Dct_graph.Topo_order.would_cycle o ~src ~dst) then
+        Dct_graph.Topo_order.add_arc o ~src ~dst)
+    arc_stream
 
 let replay_arcs_closure () =
   let c = Dct_graph.Closure.create () in

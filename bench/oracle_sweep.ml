@@ -2,16 +2,14 @@
    (graph size x density x deletion rate), replayed against each
    cycle-detection backend.
 
-   The trace is generated once against a reference Digraph, so every
-   backend sees the identical operation sequence — arc attempts that
+   The trace is generated once from the seed, so every backend sees
+   the identical operation sequence — arc attempts that
    would close a cycle are replayed as (negative) would_cycle probes
    followed by the insert, exactly the scheduler's access pattern.
    Results land in BENCH_oracle.json, which is re-read and validated
    before exiting (the [make bench-smoke] gate). *)
 
 module Intset = Dct_graph.Intset
-module Digraph = Dct_graph.Digraph
-module Traversal = Dct_graph.Traversal
 module Oracle = Dct_graph.Cycle_oracle
 module Prng = Dct_workload.Prng
 
@@ -34,30 +32,14 @@ let pick rng live = live.(Prng.int rng (Array.length live))
 
 let chance rng p = Prng.int rng 10_000 < int_of_float (p *. 10_000.0)
 
-(* Mirror of [Oracle.remove_node] on the reference graph. *)
-let reference_remove g mode v =
-  (match mode with
-  | `Exact -> ()
-  | `Bypass ->
-      let ps = Digraph.preds g v and ss = Digraph.succs g v in
-      Intset.iter
-        (fun p ->
-          Intset.iter
-            (fun s -> if p <> s && p <> v && s <> v then Digraph.add_arc g ~src:p ~dst:s)
-            ss)
-        ps);
-  Digraph.remove_node g v
-
 let make_trace { n; avg_degree; delete_rate; abort_rate; seed } =
   let rng = Prng.create ~seed in
-  let g = Digraph.create () in
   let live = ref [||] in
   let add_live v = live := Array.append !live [| v |] in
   let drop_live v = live := Array.of_list (List.filter (( <> ) v) (Array.to_list !live)) in
   let ops = ref [] in
   let emit op = ops := op :: !ops in
   for v = 0 to n - 1 do
-    Digraph.add_node g v;
     add_live v;
     emit (Add_node v);
     (* Arc attempts: half point into the newest node (the schedulers'
@@ -69,9 +51,7 @@ let make_trace { n; avg_degree; delete_rate; abort_rate; seed } =
         if k mod 2 = 0 && Array.length !live > 1 then (pick rng !live, v)
         else (pick rng !live, pick rng !live)
       in
-      emit (Arc_attempt (src, dst));
-      if src <> dst && not (Traversal.has_path g ~src:dst ~dst:src) then
-        Digraph.add_arc g ~src ~dst
+      emit (Arc_attempt (src, dst))
     done;
     emit (Query (pick rng !live, pick rng !live));
     if Array.length !live >= 4 then begin
@@ -84,7 +64,6 @@ let make_trace { n; avg_degree; delete_rate; abort_rate; seed } =
       let w = pick rng !live in
       if w <> v then begin
         emit (Remove (`Bypass, w));
-        reference_remove g `Bypass w;
         drop_live w
       end
     end;
@@ -92,7 +71,6 @@ let make_trace { n; avg_degree; delete_rate; abort_rate; seed } =
       let w = pick rng !live in
       if w <> v then begin
         emit (Remove (`Exact, w));
-        reference_remove g `Exact w;
         drop_live w
       end
     end

@@ -62,7 +62,7 @@ let oracle_arg =
           "Cycle-detection backend for graph-based models: closure (bitset \
            transitive closure), topo (Pearce-Kelly incremental topological \
            order) or checked (run both, fail on the first disagreement).  \
-           Default: plain DFS on the conflict graph.")
+           Default: topo.")
 
 let policy_arg =
   Arg.(
@@ -404,6 +404,25 @@ let simulate_cmd =
 
 (* --- serve --- *)
 
+(* The executor behind [dct serve] and [dct bench-net]: --replay always
+   wins (it is single-threaded anyway); --domains > 1 selects one
+   applier domain per shard, falling back to the inline executor on a
+   single-core host per the determinism contract — domains there are OS
+   threads and can only add noise. *)
+let pick_executor ~cmd ~domains ~replay =
+  let module Eng = Dct_engine.Engine in
+  match replay with
+  | Some interleaving_seed -> Eng.Replay interleaving_seed
+  | None when domains <= 1 -> Eng.Inline
+  | None when Eng.available_domains () > 1 -> Eng.Domains
+  | None ->
+      Printf.eprintf
+        "dct: %s: single-core host: --domains %d falls back to the inline \
+         executor (use --replay SEED for the deterministic interleaving \
+         simulator)\n"
+        cmd domains;
+      Eng.Inline
+
 let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
@@ -450,26 +469,7 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
       Dct_telemetry.Tracer.create ?metrics:registry ~sink ()
     else Dct_telemetry.Tracer.disabled
   in
-  (* --replay always wins (it is single-threaded anyway); --domains > 1
-     selects one applier domain per shard, falling back to the inline
-     executor on a single-core host per the determinism contract —
-     domains there are OS threads and can only add noise. *)
-  let executor =
-    match replay with
-    | Some interleaving_seed -> Eng.Replay interleaving_seed
-    | None ->
-        if domains > 1 then
-          if Eng.available_domains () = 1 then begin
-            Printf.eprintf
-              "dct: serve: single-core host: --domains %d falls back to \
-               the inline executor (use --replay SEED for the \
-               deterministic interleaving simulator)\n"
-              domains;
-            Eng.Inline
-          end
-          else Eng.Domains
-        else Eng.Inline
-  in
+  let executor = pick_executor ~cmd:"serve" ~domains ~replay in
   let cfg =
     Eng.config ~policy ~partitioner ?oracle ~tracer ?gc_index ~executor ~shards
       ~batch ()
@@ -908,20 +908,7 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
         Printf.eprintf "dct: bench-net: %s\n" e;
         exit 2
   in
-  let executor =
-    match replay with
-    | Some interleaving_seed -> Eng.Replay interleaving_seed
-    | None ->
-        if domains > 1 && Eng.available_domains () > 1 then Eng.Domains
-        else begin
-          if domains > 1 then
-            Printf.eprintf
-              "dct: bench-net: single-core host: --domains %d falls back to \
-               the inline executor\n"
-              domains;
-          Eng.Inline
-        end
-  in
+  let executor = pick_executor ~cmd:"bench-net" ~domains ~replay in
   let cfg = Eng.config ~policy ?gc_index ~executor ~shards ~batch () in
   let sock =
     Filename.concat

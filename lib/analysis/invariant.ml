@@ -110,26 +110,27 @@ let check gs =
       if Intset.mem n nodes then
         add (v "aborted-resurrected" "T%d was aborted but is back in the graph" n))
     (Gs.aborted_txns gs);
-  (match Gs.oracle gs with
-  | None -> ()
-  | Some o ->
-      (* Violation names keep their historical "closure-" spelling: the
-         oracle is the generalisation of the maintained closure, and the
-         auditor's consumers key on these names. *)
-      let onodes = Cycle_oracle.nodes o in
-      if not (Intset.equal onodes nodes) then
-        add
-          (v "closure-nodes"
-             "%s oracle nodes %s disagree with graph nodes %s"
-             (Cycle_oracle.name o)
-             (Format.asprintf "%a" Intset.pp onodes)
-             (Format.asprintf "%a" Intset.pp nodes))
-      else if not (Cycle_oracle.check_against o g) then
-        add
-          (v "closure-divergence"
-             "maintained %s oracle disagrees with reachability recomputed \
-              from the graph"
-             (Cycle_oracle.name o)));
+  (* The graph is the oracle's own, so these checks verify the oracle's
+     side structures against it: rows against recomputed reachability,
+     ranks against the arcs, and under [Checked] the topological
+     order's graph against the closure's.  Violation names keep their
+     historical "closure-" spelling: the oracle is the generalisation of
+     the maintained closure, and the auditor's consumers key on these
+     names. *)
+  (let o = Gs.oracle gs in
+   let onodes = Cycle_oracle.nodes o in
+   if not (Intset.equal onodes nodes) then
+     add
+       (v "closure-nodes" "%s oracle nodes %s disagree with graph nodes %s"
+          (Cycle_oracle.name o)
+          (Format.asprintf "%a" Intset.pp onodes)
+          (Format.asprintf "%a" Intset.pp nodes))
+   else if not (Cycle_oracle.check_against o g) then
+     add
+       (v "closure-divergence"
+          "maintained %s oracle disagrees with reachability recomputed from \
+           the graph"
+          (Cycle_oracle.name o)));
   Intset.iter
     (fun e ->
       Intset.iter

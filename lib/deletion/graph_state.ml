@@ -2,10 +2,10 @@ module Intset = Dct_graph.Intset
 module Digraph = Dct_graph.Digraph
 module Arena = Dct_graph.Arena
 module Traversal = Dct_graph.Traversal
+module Cycle_oracle = Dct_graph.Cycle_oracle
 module Access = Dct_txn.Access
 module Transaction = Dct_txn.Transaction
 module Tracer = Dct_telemetry.Tracer
-module Probe = Dct_telemetry.Probe
 
 (* Per-entity access bookkeeping.
 
@@ -41,12 +41,11 @@ type mutation =
     }
 
 type t = {
-  g : Digraph.t;
-  oracle : Dct_graph.Cycle_oracle.t option;
-      (* optional maintained cycle-detection backend: bitset closure
-         (the §3 remark), Pearce-Kelly topological order, or both in
-         lock-step — cycle checks become oracle probes, arc inserts and
-         deletions keep it in sync with [g] *)
+  oracle : Cycle_oracle.t;
+      (* the only holder of the conflict graph: Pearce-Kelly
+         topological order (the default), bitset closure (the §3
+         remark), or both in lock-step — cycle checks are oracle
+         probes, and every arc insert and removal goes through it *)
   arena : Arena.t;
       (* live transaction ids -> dense slots; the record and dependency
          stores below are slot-indexed, so their footprint is bounded by
@@ -68,12 +67,9 @@ type t = {
          empty for every state without an attached index *)
 }
 
-let create ?oracle ?(tracer = Tracer.disabled) () =
-  let probe = Tracer.probe tracer in
-  let oracle = Option.map (Dct_graph.Cycle_oracle.create ?probe) oracle in
+let create ?(oracle = Cycle_oracle.Topo) ?(tracer = Tracer.disabled) () =
   {
-    g = Digraph.create ();
-    oracle;
+    oracle = Cycle_oracle.create ?probe:(Tracer.probe tracer) oracle;
     arena = Arena.create ();
     recs = [||];
     deps = [||];
@@ -95,9 +91,7 @@ let notify t m =
 
 let set_tracer t tracer =
   t.tracer <- tracer;
-  Option.iter
-    (fun o -> Dct_graph.Cycle_oracle.set_probe o (Tracer.probe tracer))
-    t.oracle
+  Cycle_oracle.set_probe t.oracle (Tracer.probe tracer)
 
 let copy t =
   let einfos = Hashtbl.create (Hashtbl.length t.einfos) in
@@ -111,11 +105,10 @@ let copy t =
         })
     t.einfos;
   {
-    g = Digraph.copy t.g;
     (* Cycle_oracle.copy drops the probe; pairing that with a disabled
        tracer keeps speculative replays (safety searches, audits,
        exact-max enumeration) out of the live trace. *)
-    oracle = Option.map Dct_graph.Cycle_oracle.copy t.oracle;
+    oracle = Cycle_oracle.copy t.oracle;
     arena = Arena.copy t.arena;
     recs =
       Array.map
@@ -165,8 +158,7 @@ let begin_txn ?declared t id =
   let s = Arena.alloc t.arena id in
   grow_stores t (s + 1);
   t.recs.(s) <- Some (Transaction.create ?declared id);
-  Digraph.add_node t.g id;
-  Option.iter (fun o -> Dct_graph.Cycle_oracle.add_node o id) t.oracle;
+  Cycle_oracle.add_node t.oracle id;
   notify t (Txn_began id)
 
 let txn t id =
@@ -297,37 +289,22 @@ let dependents_closure t seed =
 
 (* Graph *)
 
-let graph t = t.g
+let graph t = Cycle_oracle.graph t.oracle
 
 let add_arc t ~src ~dst =
-  Digraph.add_arc t.g ~src ~dst;
-  Option.iter (fun o -> Dct_graph.Cycle_oracle.add_arc o ~src ~dst) t.oracle;
+  Cycle_oracle.add_arc t.oracle ~src ~dst;
   notify t (Arc_added { src; dst })
 
-let reaches t ~src ~dst =
-  match t.oracle with
-  | Some o -> Dct_graph.Cycle_oracle.reaches o ~src ~dst
-  | None ->
-      (* oracle-less fallback still reports latency, as backend "dfs" *)
-      Probe.obs (Tracer.probe t.tracer) ~op:"reaches" ~backend:"dfs" (fun () ->
-          Traversal.has_path t.g ~src ~dst)
+let reaches t ~src ~dst = Cycle_oracle.reaches t.oracle ~src ~dst
 
 let reaches_any t ~src ~dsts =
-  (not (Intset.is_empty dsts))
-  &&
-  match t.oracle with
-  | Some o -> Dct_graph.Cycle_oracle.reaches_any o ~src ~dsts
-  | None ->
-      Probe.obs (Tracer.probe t.tracer) ~op:"reaches_any" ~backend:"dfs"
-        (fun () ->
-          let desc = Traversal.reachable t.g `Fwd src in
-          not (Intset.is_empty (Intset.inter desc dsts)))
+  (not (Intset.is_empty dsts)) && Cycle_oracle.reaches_any t.oracle ~src ~dsts
 
 let would_cycle t ~into ~sources =
   (not (Intset.is_empty sources))
   && (Intset.mem into sources || reaches_any t ~src:into ~dsts:sources)
 
-let is_acyclic t = Traversal.is_acyclic t.g
+let is_acyclic t = Traversal.is_acyclic (graph t)
 
 (* Removal *)
 
@@ -391,13 +368,14 @@ let removal_payload t id ~reduction =
   | [] -> None
   | _ ->
       let deps = Intset.union (direct_deps t id) (rev_deps_of t id) in
+      let g = graph t in
       Some
         (Txn_removed
            {
              txn = id;
              reduction;
-             preds = Digraph.preds t.g id;
-             succs = Digraph.succs t.g id;
+             preds = Digraph.preds g id;
+             succs = Digraph.succs g id;
              entities = Access.entities (accesses t id);
              deps;
            })
@@ -405,8 +383,7 @@ let removal_payload t id ~reduction =
 let abort_txn t id =
   if mem_txn t id then begin
     let payload = removal_payload t id ~reduction:false in
-    Digraph.remove_node t.g id;
-    Option.iter (fun o -> Dct_graph.Cycle_oracle.remove_node o `Exact id) t.oracle;
+    Cycle_oracle.remove_node t.oracle `Exact id;
     drop_entity_entries t id ~tombstone:false;
     release_txn t id;
     Hashtbl.replace t.aborted id ();
@@ -425,44 +402,31 @@ let deleted_txns t =
 
 let oracle t = t.oracle
 
-let closure t = Option.bind t.oracle Dct_graph.Cycle_oracle.closure
-
 let forget_txn_record t id =
   if mem_txn t id then begin
     drop_entity_entries t id ~tombstone:true;
     release_txn t id
   end
 
-(* The reduction D(G, T): remove the node while preserving every path
-   through it with bypass arcs, in both the graph and (cheaply) the
-   closure.  Exposed through Reduced_graph.delete. *)
+(* The reduction D(G, T): the oracle removes the node and keeps every
+   path through it (Digraph.remove_node_bypass).  Exposed through
+   Reduced_graph.delete. *)
 let delete_with_bypass t ti =
   let payload = removal_payload t ti ~reduction:true in
-  let ps = Digraph.preds t.g ti and ss = Digraph.succs t.g ti in
-  Digraph.remove_node t.g ti;
-  Intset.iter
-    (fun p ->
-      Intset.iter
-        (fun s -> if p <> s then Digraph.add_arc t.g ~src:p ~dst:s)
-        ss)
-    ps;
-  Option.iter (fun o -> Dct_graph.Cycle_oracle.remove_node o `Bypass ti) t.oracle;
+  Cycle_oracle.remove_node t.oracle `Bypass ti;
   forget_txn_record t ti;
   Hashtbl.replace t.deleted ti ();
   Option.iter (notify t) payload
 
 (* Deterministic resident-size estimate of the graph substrate: the
-   conflict graph (arena + rows), the oracle's structures, the
-   slot-indexed record/dependency stores and the entity index.  The
-   audit tombstone sets ([aborted]/[deleted]) are deliberately excluded:
-   they are a historical record for auditors, not resident graph state.
+   oracle (which holds the conflict graph), the slot-indexed
+   record/dependency stores and the entity index.  The audit tombstone
+   sets ([aborted]/[deleted]) are deliberately excluded: they are a
+   historical record for auditors, not resident graph state.
    Everything here is derived from capacities and live counts, so
    replicas driven by identical operation sequences report identical
    values. *)
 let resident_bytes t =
-  let oracle_bytes =
-    match t.oracle with Some o -> Dct_graph.Cycle_oracle.bytes o | None -> 0
-  in
   let store_bytes =
     8
     * (Array.length t.recs + Array.length t.deps + Array.length t.rev_deps
@@ -473,18 +437,19 @@ let resident_bytes t =
       (fun _ info acc -> acc + 8 * (6 + (4 * List.length info.history)))
       t.einfos 0
   in
-  Digraph.bytes t.g + oracle_bytes + Arena.bytes t.arena + store_bytes
+  Cycle_oracle.bytes t.oracle + Arena.bytes t.arena + store_bytes
   + entity_bytes
 
 let check_invariants t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let nodes = Digraph.nodes t.g in
+  let g = graph t in
+  let nodes = Digraph.nodes g in
   let records = all_txns t in
   if not (Intset.equal nodes records) then
     err "graph nodes %s <> transaction records %s"
       (Format.asprintf "%a" Intset.pp nodes)
       (Format.asprintf "%a" Intset.pp records)
-  else if not (Traversal.is_acyclic t.g) then err "graph is cyclic"
+  else if not (Traversal.is_acyclic g) then err "graph is cyclic"
   else begin
     let bad_history = ref None in
     Hashtbl.iter
@@ -513,7 +478,7 @@ let check_invariants t =
   end
 
 let pp ppf t =
-  Format.fprintf ppf "@[<v>graph: %a@,txns:@," Digraph.pp t.g;
+  Format.fprintf ppf "@[<v>graph: %a@,txns:@," Digraph.pp (graph t);
   Intset.iter
     (fun id -> Format.fprintf ppf "  %a@," Transaction.pp (txn t id))
     (all_txns t);

@@ -10,6 +10,12 @@
     read-from dependencies — and with per-entity indexes that make the
     scheduler rules and condition checks fast.
 
+    The graph itself lives in exactly one place: the cycle oracle
+    ({!Dct_graph.Cycle_oracle}) that answers the schedulers' cycle
+    checks.  {!graph} reads it, and every structural change —
+    {!begin_txn}, {!add_arc}, {!abort_txn}, {!delete_with_bypass} —
+    goes through it.
+
     All conditions (C1–C4) and all schedulers operate on this type. *)
 
 type t
@@ -47,20 +53,17 @@ val create :
   ?tracer:Dct_telemetry.Tracer.t ->
   unit ->
   t
-(** Without either option, cycle checks fall back to a DFS on the plain
-    graph.  [oracle] selects a maintained cycle-detection backend:
+(** [oracle] selects the cycle-detection backend that holds the graph:
+    [Topo] (the default; Pearce–Kelly incremental topological order —
+    near-free checks on sparse graphs, rebuild-free deletion),
     [Closure] (the §3 remark — reachability-row probes, safe deletion is
-    erasing the node, aborts recompute affected rows), [Topo]
-    (Pearce–Kelly incremental topological order — near-free checks on
-    sparse graphs, rebuild-free deletion) or [Checked] (both in
-    lock-step, raising {!Dct_graph.Cycle_oracle.Disagreement} on any
-    divergence).  All backends are
-    decision-equivalent, so the choice is a cost profile, not a
-    semantics (benchmarked in the oracle sweep).  [tracer] (default
-    {!Dct_telemetry.Tracer.disabled}) is the run-wide telemetry handle:
-    its probe times every oracle query (backend ["dfs"] on the
-    fallback), and the rules/policies emit decision and deletion events
-    through it. *)
+    erasing the node, aborts recompute affected rows) or [Checked] (both
+    in lock-step, raising {!Dct_graph.Cycle_oracle.Disagreement} on any
+    divergence).  All backends are decision-equivalent, so the choice is
+    a cost profile, not a semantics (benchmarked in the oracle sweep).
+    [tracer] (default {!Dct_telemetry.Tracer.disabled}) is the run-wide
+    telemetry handle: its probe times every oracle operation, and the
+    rules/policies emit decision and deletion events through it. *)
 
 val copy : t -> t
 (** Deep copy — used by the test oracles that replay continuations on
@@ -138,15 +141,20 @@ val dependents_closure : t -> Dct_graph.Intset.t -> Dct_graph.Intset.t
 (** {1 The graph} *)
 
 val graph : t -> Dct_graph.Digraph.t
-(** The underlying conflict graph.  Callers must treat it as read-only;
-    mutation goes through {!add_arc}, {!abort_txn} and
+(** The conflict graph, {!Dct_graph.Cycle_oracle.graph} of the oracle
+    (the closure's graph under [Checked]).  Callers must treat it as
+    read-only; mutation goes through {!add_arc}, {!abort_txn} and
     {!Reduced_graph.delete}. *)
 
 val add_arc : t -> src:int -> dst:int -> unit
+(** Pre-condition: the arc closes no cycle (test {!would_cycle} first).
+    A cycle-closing arc is refused before anything changes:
+    [Invalid_argument] under [Topo],
+    {!Dct_graph.Cycle_oracle.Disagreement} under [Checked]; [Closure]
+    does not check. *)
 
 val reaches : t -> src:int -> dst:int -> bool
-(** [true] iff a non-empty path [src ⇝ dst] exists — answered by the
-    oracle when one is maintained, by DFS otherwise. *)
+(** [true] iff a non-empty path [src ⇝ dst] exists — an oracle probe. *)
 
 val reaches_any : t -> src:int -> dsts:Dct_graph.Intset.t -> bool
 (** Does [src] reach some member of [dsts]?  One oracle probe / clipped
@@ -177,23 +185,19 @@ val deleted_txns : t -> Dct_graph.Intset.t
 (** All ids ever deleted through the reduction — the auditor's record of
     what the policy has forgotten. *)
 
-val oracle : t -> Dct_graph.Cycle_oracle.t option
-(** The maintained cycle-detection oracle, when one was requested at
-    {!create} — read-only use (the invariant checker verifies it against
-    the graph). *)
-
-val closure : t -> Dct_graph.Closure.t option
-(** The maintained transitive closure, when the selected oracle keeps
-    one ([Closure] or [Checked] backends) — read-only use. *)
+val oracle : t -> Dct_graph.Cycle_oracle.t
+(** The cycle-detection oracle that holds the graph — read-only use (the
+    invariant checker verifies it against its own graph;
+    {!Dct_graph.Cycle_oracle.closure} reaches a maintained closure). *)
 
 val is_acyclic : t -> bool
 
 val resident_bytes : t -> int
 (** Deterministic estimate, in bytes, of the resident graph substrate:
-    conflict graph, maintained oracle, slot-indexed transaction and
-    dependency stores, and the entity index.  The audit tombstone sets
-    ({!aborted_txns}/{!deleted_txns}) are excluded — they record
-    history, not resident state.  Derived from capacities and live
+    the oracle (which holds the conflict graph, counted once),
+    slot-indexed transaction and dependency stores, and the entity
+    index.  The audit tombstone sets ({!aborted_txns}/{!deleted_txns})
+    are excluded — they record history, not resident state.  Derived from capacities and live
     counts only, so two replicas driven by identical operation
     sequences report identical values (the engine's executors and the
     socket server depend on this for byte-identical traces). *)
@@ -206,9 +210,10 @@ val forget_txn_record : t -> int -> unit
     not rewrite database facts). *)
 
 val delete_with_bypass : t -> int -> unit
-(** The reduction [D(G, T)] on the graph, the maintained closure (when
-    present) and the bookkeeping, in one step.  Use
-    {!Reduced_graph.delete}, which adds the eligibility checks. *)
+(** The reduction [D(G, T)] on the oracle
+    ({!Dct_graph.Digraph.remove_node_bypass} on its graph) and the
+    bookkeeping, in one step.  Use {!Reduced_graph.delete}, which adds
+    the eligibility checks. *)
 
 val check_invariants : t -> (unit, string) result
 (** Structural self-check, used by the fuzzing tests: graph nodes =

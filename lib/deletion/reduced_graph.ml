@@ -10,18 +10,6 @@ let delete gs ti =
 
 let delete_set gs n = Intset.iter (fun ti -> delete gs ti) n
 
-let would_be_graph gs ti =
-  let g = Digraph.copy (Graph_state.graph gs) in
-  let ps = Digraph.preds g ti and ss = Digraph.succs g ti in
-  Digraph.remove_node g ti;
-  Intset.iter
-    (fun p ->
-      Intset.iter
-        (fun s -> if p <> s then Digraph.add_arc g ~src:p ~dst:s)
-        ss)
-    ps;
-  g
-
 let is_reduced_graph_of gs schedule =
   let g = Graph_state.graph gs in
   let sched_txns = Dct_txn.Schedule.txns schedule in

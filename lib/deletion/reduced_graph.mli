@@ -17,9 +17,6 @@ val delete_set : Graph_state.t -> Dct_graph.Intset.t -> unit
 (** [D(G, N)], one node at a time (ascending id; the result does not
     depend on the order). *)
 
-val would_be_graph : Graph_state.t -> int -> Dct_graph.Digraph.t
-(** The graph of [D(G, Ti)] without mutating [gs] (for oracles). *)
-
 val is_reduced_graph_of : Graph_state.t -> Dct_txn.Schedule.t -> (unit, string) result
 (** Check the §4 definition of "a reduced graph of schedule [p]":
     (1) acyclic; (2) nodes ⊆ transactions of [p], including every

@@ -74,8 +74,8 @@ type config = {
   policy : Dct_deletion.Policy.t;
   partitioner : Partitioner.t;
   oracle : Dct_graph.Cycle_oracle.backend option;
-      (** Backend for the {e coordinator}'s graph.  Shards always use
-          the default DFS — their graphs are small by construction. *)
+      (** Backend for the {e coordinator}'s graph ([None]: the
+          default, [Topo]).  Shards always use the default. *)
   tracer : Dct_telemetry.Tracer.t;
       (** An active tracer or a metrics registry puts the coordinator in
           lock-step with the shards: it awaits each barrier and then

@@ -27,10 +27,10 @@ type t = {
 }
 
 (* Shard graph states are projections kept for GC and accounting; they
-   carry no tracer so the engine's trace is exactly the coordinator's
-   (single-node-shaped) trace. *)
-let create ~id ~policy ?oracle ?gc_index () =
-  let gs = Gs.create ?oracle () in
+   use the default oracle and carry no tracer, so the engine's trace is
+   exactly the coordinator's (single-node-shaped) trace. *)
+let create ~id ~policy ?gc_index () =
+  let gs = Gs.create () in
   let index = Option.map (fun mode -> Dindex.attach mode gs) gc_index in
   {
     id;
@@ -72,7 +72,8 @@ let truncate_log t =
 (* Local arcs are always safe to add: the coordinator accepted the step,
    so no global path [txn ~> src] exists, and local connectivity (real
    arcs are a subset of global ones; bypass arcs only preserve existing
-   local paths) is a subset of global connectivity. *)
+   local paths) is a subset of global connectivity.  The shard's Topo
+   oracle enforces this: a cycle-closing arc raises in [Gs.add_arc]. *)
 let add_arcs t ~into sources =
   Intset.iter
     (fun src ->

@@ -31,7 +31,6 @@ type t
 val create :
   id:int ->
   policy:Dct_deletion.Policy.t ->
-  ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?gc_index:Dct_deletion.Deletability_index.mode ->
   unit ->
   t

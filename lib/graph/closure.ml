@@ -119,20 +119,7 @@ let remove_node t mode v =
           (* Keep paths through [v]: add explicit bypass arcs to the arc
              graph so a later exact rebuild stays faithful, then erase
              the node's row and column from the closure. *)
-          let ps = ref [] and ss = ref [] in
-          Digraph.iter_pred_slots
-            (fun p -> ps := Digraph.id_of_slot t.g p :: !ps)
-            t.g vs;
-          Digraph.iter_succ_slots
-            (fun s -> ss := Digraph.id_of_slot t.g s :: !ss)
-            t.g vs;
-          Digraph.remove_node t.g v;
-          List.iter
-            (fun p ->
-              List.iter
-                (fun s -> if p <> s then Digraph.add_arc t.g ~src:p ~dst:s)
-                !ss)
-            !ps;
+          Digraph.remove_node_bypass t.g v;
           clear_row t.desc vs;
           clear_row t.anc vs;
           erase_column t.desc vs;

@@ -22,8 +22,8 @@ val create : unit -> t
 
 val graph : t -> Digraph.t
 (** The closure's own arc graph (explicit arcs plus bypass arcs from
-    [`Bypass] removals).  Callers must not mutate it directly; it exists
-    so oracles can extract witness paths. *)
+    [`Bypass] removals) — the reduced graph itself under the [Closure]
+    and [Checked] oracles.  Callers must not mutate it directly. *)
 
 val copy : t -> t
 (** Independent deep copy. *)

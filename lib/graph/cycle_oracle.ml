@@ -6,6 +6,7 @@ module type S = sig
   val name : string
   val create : unit -> t
   val copy : t -> t
+  val graph : t -> Digraph.t
   val add_node : t -> int -> unit
   val mem_node : t -> int -> bool
   val nodes : t -> Intset.t
@@ -123,6 +124,11 @@ let agree op a b =
    pre-insert agreement probes in [add_arc]) is deliberately not
    attributed: it measures the harness, not the backend. *)
 let obs t ~op ~bk f = Probe.obs t.probe ~op ~backend:bk f
+
+let graph t =
+  match t.imp with
+  | Closure_i c | Checked_i (c, _) -> Closure_backend.graph c
+  | Topo_i o -> Topo_backend.graph o
 
 let add_node t v =
   match t.imp with

@@ -39,6 +39,11 @@ module type S = sig
   val name : string
   val create : unit -> t
   val copy : t -> t
+
+  val graph : t -> Digraph.t
+  (** The arc set the backend maintains: every arc inserted, minus
+      removed nodes, plus [`Bypass] arcs. *)
+
   val add_node : t -> int -> unit
   val mem_node : t -> int -> bool
   val nodes : t -> Intset.t
@@ -113,14 +118,24 @@ val copy : t -> t
     (safety searches, audit replays, exact-max enumeration) and must
     not pollute the live oracle's latency record. *)
 
+val graph : t -> Digraph.t
+(** The conflict graph this oracle maintains — the only copy a
+    {!Dct_deletion.Graph_state} keeps.  Under [Checked] it is the
+    closure's graph; the topological order keeps its own, and
+    {!check_against} compares the two.  Read-only: mutate through
+    {!add_node}, {!add_arc} and {!remove_node}. *)
+
 val add_node : t -> int -> unit
 val mem_node : t -> int -> bool
 val nodes : t -> Intset.t
 
 val add_arc : t -> src:int -> dst:int -> unit
 (** Pre-condition: the arc does not close a cycle (test {!would_cycle}
-    first).  A [Checked] oracle verifies both backends agree the arc is
-    safe before inserting. *)
+    first).  [Topo] refuses a cycle-closing arc with
+    [Invalid_argument]; a [Checked] oracle verifies both backends agree
+    the arc is safe before inserting and raises {!Disagreement}
+    otherwise; [Closure] does not check.  A refused arc changes
+    nothing. *)
 
 val remove_node : t -> [ `Bypass | `Exact ] -> int -> unit
 val reaches : t -> src:int -> dst:int -> bool

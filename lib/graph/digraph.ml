@@ -115,16 +115,18 @@ let mem_arc g ~src ~dst =
       match g.succ.(ss) with Some r -> Row.mem r ds | None -> false)
   | _ -> false
 
-let add_arc g ~src ~dst =
-  add_node g src;
-  add_node g dst;
-  let ss = Arena.slot g.arena src and ds = Arena.slot g.arena dst in
+let add_arc_slots g ss ds =
   let r = row g.succ ss in
   if not (Row.mem r ds) then begin
     Row.add r ds;
     Row.add (row g.pred ds) ss;
     g.arcs <- g.arcs + 1
   end
+
+let add_arc g ~src ~dst =
+  add_node g src;
+  add_node g dst;
+  add_arc_slots g (Arena.slot g.arena src) (Arena.slot g.arena dst)
 
 let remove_arc g ~src ~dst =
   match (Arena.find g.arena src, Arena.find g.arena dst) with
@@ -163,6 +165,25 @@ let remove_node g v =
           Row.clear r
       | None -> ());
       ignore (Arena.release g.arena v)
+
+(* The paper's reduction D(G, v).  The neighbours' slots stay valid
+   across [remove_node], which frees only [v]'s own slot (a self-loop's
+   endpoint is left out, so no bypass arc touches the freed slot). *)
+let remove_node_bypass g v =
+  match Arena.find g.arena v with
+  | None -> ()
+  | Some s ->
+      let slots arr =
+        match arr.(s) with
+        | Some r ->
+            Row.fold (fun sl acc -> if sl = s then acc else sl :: acc) r []
+        | None -> []
+      in
+      let ps = slots g.pred and ss = slots g.succ in
+      remove_node g v;
+      List.iter
+        (fun p -> List.iter (fun d -> if p <> d then add_arc_slots g p d) ss)
+        ps
 
 let arc_count g = g.arcs
 

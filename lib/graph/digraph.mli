@@ -7,8 +7,9 @@
     resident footprint tracks the high-water {e live} population rather
     than the historical id space.
 
-    The structure is deliberately small: reachability, ordering and
-    closure maintenance live in {!Traversal}, {!Order} and {!Closure}. *)
+    The structure is deliberately small: reachability lives in
+    {!Traversal}; incremental ordering and closure maintenance live in
+    {!Topo_order} and {!Closure}, the two {!Cycle_oracle} backends. *)
 
 type t
 
@@ -25,7 +26,14 @@ val add_node : t -> int -> unit
 val remove_node : t -> int -> unit
 (** [remove_node g v] removes [v] and all incident arcs; a no-op if
     absent.  Note this is {e not} the paper's reduction [D(G, v)] — see
-    {!Reduced_graph} in [dct_deletion] for the bypassing removal. *)
+    {!remove_node_bypass}. *)
+
+val remove_node_bypass : t -> int -> unit
+(** The paper's reduction [D(G, v)] (§3): remove [v] and add an arc from
+    each of its immediate predecessors to each of its immediate
+    successors (self-loops skipped), so every path through [v]
+    survives.  A no-op if absent.  The one implementation of [D(G, v)]:
+    both {!Cycle_oracle} backends call it. *)
 
 val mem_node : t -> int -> bool
 val node_count : t -> int

@@ -203,20 +203,7 @@ let remove_node t mode v =
       | `Bypass ->
           (* D(G, v): every pred-to-succ path survives via a bypass arc.
              rank p < rank v < rank s already holds, so no reordering. *)
-          let ps = ref [] and ss = ref [] in
-          Digraph.iter_pred_slots
-            (fun p -> ps := Digraph.id_of_slot t.g p :: !ps)
-            t.g vs;
-          Digraph.iter_succ_slots
-            (fun s -> ss := Digraph.id_of_slot t.g s :: !ss)
-            t.g vs;
-          Digraph.remove_node t.g v;
-          List.iter
-            (fun p ->
-              List.iter
-                (fun s -> if p <> s then Digraph.add_arc t.g ~src:p ~dst:s)
-                !ss)
-            !ps
+          Digraph.remove_node_bypass t.g v
       | `Exact -> Digraph.remove_node t.g v);
       t.ord.(vs) <- -1
 

@@ -10,12 +10,13 @@
     [O(affected region)] instead of [O(V + E)]; insertions already in
     order cost [O(1)].
 
-    Unlike {!Order} (the minimal checker benchmarked in EX11), this
-    module supports everything {!Cycle_oracle} needs: reachability
-    queries clipped by rank, cycle witnesses, deep copies, and both
-    flavours of node removal.  Removals never invalidate a topological
-    order, which is why this backend wins on deletion-heavy workloads —
-    the bitset {!Closure} must rebuild rows where this does nothing. *)
+    It supports everything {!Cycle_oracle} needs: reachability queries
+    clipped by rank, cycle witnesses, deep copies, and both flavours of
+    node removal.  Removals never invalidate a topological order, which
+    is why this backend wins on deletion-heavy workloads — the bitset
+    {!Closure} must rebuild rows where this does nothing.  It is the
+    default backend of every graph state and the Pearce–Kelly row of
+    the EX11 ablation. *)
 
 type t
 
@@ -25,7 +26,8 @@ val copy : t -> t
 (** Independent deep copy. *)
 
 val graph : t -> Digraph.t
-(** The underlying graph.  Callers must not mutate it directly. *)
+(** The underlying graph — the reduced graph itself under the [Topo]
+    oracle.  Callers must not mutate it directly. *)
 
 val add_node : t -> int -> unit
 (** Appends the node at the end of the order; no-op if present. *)
@@ -41,10 +43,11 @@ val add_arc : t -> src:int -> dst:int -> unit
     must test {!would_cycle} first, as every scheduler does. *)
 
 val remove_node : t -> [ `Bypass | `Exact ] -> int -> unit
-(** [`Bypass] is the paper's reduction [D(G, T)]: predecessor×successor
-    bypass arcs are inserted (each respects the existing order, so no
-    reordering can occur) and the node is dropped.  [`Exact] simply
-    drops the node and its incident arcs.  Both are [O(degree²)] resp.
+(** [`Bypass] is the paper's reduction [D(G, T)]
+    ({!Digraph.remove_node_bypass}): predecessor×successor bypass arcs
+    are inserted (each respects the existing order, so no reordering
+    can occur) and the node is dropped.  [`Exact] simply drops the node
+    and its incident arcs.  Both are [O(degree²)] resp.
     [O(degree)] — a topological order of a graph remains one of any
     subgraph, so, unlike {!Closure}, nothing is rebuilt. *)
 

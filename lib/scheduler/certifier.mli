@@ -35,8 +35,8 @@ val create :
   unit ->
   t
 (** [oracle] selects the cycle-check backend used at certification time
-    (default: plain DFS on the conflict graph); [tracer] threads the
-    telemetry handle through the graph state.  [gc_index] attaches a
+    (default: [Topo]); [tracer] threads the telemetry handle through the
+    graph state.  [gc_index] attaches a
     deletability index — it only matters under
     {!unsafe_step_with_policy} (the certifier itself never deletes),
     where it keeps the unsound-deletion demonstrations index-covered

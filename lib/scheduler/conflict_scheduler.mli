@@ -26,9 +26,9 @@ val create :
     log's low-water mark whenever the deletion policy forgets
     transactions — the log-truncation reading of the paper.
     [oracle] selects the cycle-check engine
-    ({!Dct_graph.Cycle_oracle.backend}).  Identical decisions with or
-    without one, different cost profile (see the oracle sweep
-    benchmarks).
+    ({!Dct_graph.Cycle_oracle.backend}, default [Topo]).  Identical
+    decisions under every backend, different cost profile (see the
+    oracle sweep benchmarks).
     [tracer] threads the telemetry handle through the graph state and —
     via {!handle_of} — wraps the step loop with
     {!Scheduler_intf.trace_steps}; tracing never changes a decision.

@@ -30,7 +30,7 @@ val create :
   ?gc_index:Dct_deletion.Deletability_index.mode ->
   unit ->
   t
-(** [oracle] selects the cycle-check backend (default: plain DFS);
+(** [oracle] selects the cycle-check backend (default: [Topo]);
     [tracer] threads the telemetry handle through (C3 deletions are
     reported as policy ["c3-exact"], refusals as condition ["c3"]).
     [gc_index]: C3 is {e not} incrementally indexable — its verdict

@@ -26,7 +26,7 @@ val create :
   t
 (** [use_c4_deletion] (default false) greedily deletes C4-eligible
     completed transactions after each completion.  [oracle] selects the
-    cycle-check backend used by the delay test (default: plain DFS).
+    cycle-check backend used by the delay test (default: [Topo]).
     [tracer] threads the telemetry handle through (C4 deletions are
     reported as policy ["c4"], refusals as condition ["c4"]).
     [gc_index] (only meaningful with [use_c4_deletion]) maintains the

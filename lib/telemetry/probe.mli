@@ -1,6 +1,6 @@
 (** Timing probes: the hook a measured component (a cycle-detection
-    backend, a DFS fallback) calls around each query so the tracer can
-    attribute oracle time per operation and per backend.
+    backend) calls around each query so the tracer can attribute oracle
+    time per operation and per backend.
 
     The probe is deliberately the thinnest possible interface — one
     callback — so [Dct_graph] can be probed without depending on the

@@ -43,10 +43,15 @@ let test_clean_states () =
   Reduced.delete gs 2;
   check "after deletion" true (Invariant.check gs = [])
 
+(* [Gs.add_arc] refuses a cycle-closing arc, so the corruption goes
+   straight into the oracle's graph. *)
+let close_loop (e : Gallery.example1) =
+  Dct_graph.Digraph.add_arc (Gs.graph e.gs1) ~src:e.t3 ~dst:e.t1
+
 let test_cyclic_graph () =
   let e = Gallery.example1 () in
   (* arcs are T1->T2->T3 and T1->T3; closing the loop corrupts *)
-  Gs.add_arc e.Gallery.gs1 ~src:e.t3 ~dst:e.t1;
+  close_loop e;
   check "cyclic-graph" true (has_violation "cyclic-graph" e.gs1)
 
 let test_node_without_record () =
@@ -71,7 +76,7 @@ let test_aborted_resurrected () =
 
 let test_checked_apply_raises () =
   let e = Gallery.example1 () in
-  Gs.add_arc e.Gallery.gs1 ~src:e.t3 ~dst:e.t1;
+  close_loop e;
   check "checked_apply raises" true
     (match Invariant.checked_apply e.gs1 (Step.Begin 99) with
     | _ -> false

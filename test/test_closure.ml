@@ -124,7 +124,7 @@ module Oracle = Dct_graph.Cycle_oracle
 module Gallery = Dct_deletion.Paper_gallery
 
 let closure_of gs =
-  match Gs.closure gs with
+  match Oracle.closure (Gs.oracle gs) with
   | Some c -> c
   | None -> Alcotest.fail "closure oracle missing"
 

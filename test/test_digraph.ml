@@ -70,6 +70,24 @@ let test_iter_arcs () =
   let sum = G.fold_arcs (fun ~src ~dst acc -> acc + src + dst) g 0 in
   check_int "fold sum" (1 + 2 + 1 + 3 + 2 + 4 + 3 + 4) sum
 
+let test_remove_node_bypass () =
+  let g = diamond () in
+  G.add_arc g ~src:4 ~dst:5;
+  G.remove_node_bypass g 4;
+  check "node gone" false (G.mem_node g 4);
+  check "bypass 2 -> 5" true (G.mem_arc g ~src:2 ~dst:5);
+  check "bypass 3 -> 5" true (G.mem_arc g ~src:3 ~dst:5);
+  check_int "arcs: two kept, two bypass" 4 (G.arc_count g);
+  G.remove_node_bypass g 42;
+  check_int "absent node: no-op" 4 (G.arc_count g);
+  (* A self-loop yields no bypass arc back onto the removed node. *)
+  G.add_arc g ~src:5 ~dst:5;
+  G.add_arc g ~src:5 ~dst:6;
+  G.remove_node_bypass g 5;
+  check "self-loop node gone" false (G.mem_node g 5);
+  check "bypass 2 -> 6" true (G.mem_arc g ~src:2 ~dst:6);
+  check "bypass 3 -> 6" true (G.mem_arc g ~src:3 ~dst:6)
+
 let test_self_loop () =
   let g = G.create () in
   G.add_arc g ~src:1 ~dst:1;
@@ -86,6 +104,7 @@ let () =
           Alcotest.test_case "idempotent add" `Quick test_idempotent_add;
           Alcotest.test_case "remove arc" `Quick test_remove_arc;
           Alcotest.test_case "remove node" `Quick test_remove_node;
+          Alcotest.test_case "bypass removal" `Quick test_remove_node_bypass;
           Alcotest.test_case "copy independence" `Quick test_copy_independent;
           Alcotest.test_case "equality" `Quick test_equal;
           Alcotest.test_case "isolated nodes" `Quick test_isolated_node;

@@ -145,7 +145,7 @@ let test_basic_backends_agree () =
               let name what =
                 Printf.sprintf "%s/%s/seed %d: %s" (Policy.name policy)
                   (match oracle with
-                  | None -> "dfs"
+                  | None -> "default"
                   | Some b -> Oracle.backend_name b)
                   seed what
               in

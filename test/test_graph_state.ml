@@ -86,7 +86,27 @@ let test_would_cycle () =
     (Gs.would_cycle gs ~into:3 ~sources:(Intset.singleton 1));
   check "self source" true
     (Gs.would_cycle gs ~into:1 ~sources:(Intset.singleton 1));
-  check "empty sources" false (Gs.would_cycle gs ~into:1 ~sources:Intset.empty)
+  check "empty sources" false (Gs.would_cycle gs ~into:1 ~sources:Intset.empty);
+  (* The graph lives in the oracle, which refuses a cycle-closing arc
+     before changing anything: Invalid_argument under the default
+     backend, Disagreement under Checked. *)
+  List.iter
+    (fun (what, oracle) ->
+      let gs = Gs.create ?oracle () in
+      List.iter (Gs.begin_txn gs) [ 1; 2; 3 ];
+      Gs.add_arc gs ~src:1 ~dst:2;
+      Gs.add_arc gs ~src:2 ~dst:3;
+      let refused =
+        match Gs.add_arc gs ~src:3 ~dst:1 with
+        | () -> false
+        | exception Invalid_argument _ -> oracle = None
+        | exception Dct_graph.Cycle_oracle.Disagreement _ -> oracle <> None
+      in
+      check (what ^ ": cycle-closing arc refused") true refused;
+      check_int (what ^ ": arc count unchanged") 2
+        (Dct_graph.Digraph.arc_count (Gs.graph gs));
+      check (what ^ ": invariants hold") true (Gs.check_invariants gs = Ok ()))
+    [ ("default", None); ("checked", Some Dct_graph.Cycle_oracle.Checked) ]
 
 let test_copy_independence () =
   let gs = Gs.create () in
@@ -97,6 +117,13 @@ let test_copy_independence () =
   Gs.record_access gs' ~txn:1 ~entity:1 ~mode:A.Write;
   check "original still active" true (Gs.is_active gs 1);
   check "original accesses unchanged" false (A.mem (Gs.accesses gs 1) ~entity:1);
+  Gs.begin_txn gs' 2;
+  Gs.add_arc gs' ~src:1 ~dst:2;
+  check "copy has the arc" true
+    (Dct_graph.Digraph.mem_arc (Gs.graph gs') ~src:1 ~dst:2);
+  check "original graph lacks the arc" false
+    (Dct_graph.Digraph.mem_arc (Gs.graph gs) ~src:1 ~dst:2);
+  check "original lacks the node" false (Gs.mem_txn gs 2);
   Gs.abort_txn gs' 1;
   check "original still present" true (Gs.mem_txn gs 1)
 

@@ -189,9 +189,8 @@ let replay_checked ~policy schedule =
       | Rules.Ignored | Rules.Rejected | Rules.Accepted ->
           ignore (Policy.run policy gs))
     schedule;
-  (match Gs.oracle gs with
-  | Some o -> check "oracle survives" true (Oracle.check_against o (Gs.graph gs))
-  | None -> Alcotest.fail "checked oracle missing")
+  check "oracle survives" true
+    (Oracle.check_against (Gs.oracle gs) (Gs.graph gs))
 
 let test_workload_replay () =
   List.iter

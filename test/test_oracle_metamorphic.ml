@@ -1,10 +1,10 @@
 (* Metamorphic properties of the oracle backends: the backend is a cost
    profile, not a semantics.  For every deletion policy and every
    scheduler model, a full simulation under --oracle closure and
-   --oracle topo (and the DFS fallback) must produce byte-for-byte
-   identical decision traces — same per-step outcomes, same deletions at
-   the same steps, same final graph.  The decision traces are then fed
-   to [Dct_analysis.Audit], which must certify both. *)
+   --oracle topo must produce byte-for-byte identical decision traces —
+   same per-step outcomes, same deletions at the same steps, same final
+   graph.  The decision traces are then fed to [Dct_analysis.Audit],
+   which must certify both. *)
 
 module Intset = Dct_graph.Intset
 module Digraph = Dct_graph.Digraph
@@ -24,8 +24,8 @@ let outcome_name = Si.outcome_name
 
 (* One full conflict-scheduler run; the observable decision trace is
    (step outcomes, deletion log, final stats, final graph). *)
-let run_basic ?oracle ~policy schedule =
-  let t = Cs.create ~policy ?oracle () in
+let run_basic ~oracle ~policy schedule =
+  let t = Cs.create ~policy ~oracle () in
   let outcomes = List.map (fun s -> outcome_name (Cs.step t s)) schedule in
   let deletions =
     List.map
@@ -47,7 +47,6 @@ let test_policies_closure_vs_topo () =
       List.iter
         (fun seed ->
           let schedule = Gen.basic (profile seed) in
-          let o_d, d_d, s_d, g_d = run_basic ~policy schedule in
           let o_c, d_c, s_c, g_c =
             run_basic ~oracle:Oracle.Closure ~policy schedule
           in
@@ -57,17 +56,11 @@ let test_policies_closure_vs_topo () =
           let name what =
             Printf.sprintf "%s/seed %d: %s" (Policy.name policy) seed what
           in
-          Alcotest.(check (list string)) (name "outcomes dfs=closure") o_d o_c;
           Alcotest.(check (list string)) (name "outcomes closure=topo") o_c o_t;
           Alcotest.(check (list (pair int (list int))))
-            (name "deletions dfs=closure") d_d d_c;
-          Alcotest.(check (list (pair int (list int))))
             (name "deletions closure=topo") d_c d_t;
-          Alcotest.(check (triple int int int)) (name "stats dfs=closure") s_d
-            s_c;
           Alcotest.(check (triple int int int)) (name "stats closure=topo") s_c
             s_t;
-          check (name "graph dfs=closure") true (Digraph.equal g_d g_c);
           check (name "graph closure=topo") true (Digraph.equal g_c g_t))
         [ 5; 23; 71 ])
     Policy.all_correct
@@ -158,13 +151,10 @@ let test_gallery_checked () =
           ignore (Dct_deletion.Rules.apply gs s);
           ignore (Policy.run policy gs))
         schedule;
-      match Gs.oracle gs with
-      | Some o ->
-          check
-            (Policy.name policy ^ ": checked oracle consistent")
-            true
-            (Oracle.check_against o (Gs.graph gs))
-      | None -> Alcotest.fail "oracle missing")
+      check
+        (Policy.name policy ^ ": checked oracle consistent")
+        true
+        (Oracle.check_against (Gs.oracle gs) (Gs.graph gs)))
     Policy.all_correct;
   (* The Theorem 5 set-cover schedule: a dense bipartite conflict
      pattern followed by exact-max deletion. *)
@@ -178,18 +168,15 @@ let test_gallery_checked () =
   let deleted = Policy.run Policy.Exact_max gs in
   check "set-cover: exact-max deleted something" true
     (not (Intset.is_empty deleted));
-  match Gs.oracle gs with
-  | Some o ->
-      check "set-cover: checked oracle consistent" true
-        (Oracle.check_against o (Gs.graph gs))
-  | None -> Alcotest.fail "oracle missing"
+  check "set-cover: checked oracle consistent" true
+    (Oracle.check_against (Gs.oracle gs) (Gs.graph gs))
 
 let () =
   Alcotest.run "oracle_metamorphic"
     [
       ( "basic",
         [
-          Alcotest.test_case "policies: dfs = closure = topo" `Slow
+          Alcotest.test_case "policies: closure = topo" `Slow
             test_policies_closure_vs_topo;
           Alcotest.test_case "audit cross-check both backends" `Slow
             test_audit_cross_check;

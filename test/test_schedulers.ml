@@ -95,18 +95,19 @@ let test_deletion_reduces_residency () =
   check "deletions logged" true (Cs.deleted_log greedy <> [])
 
 let test_closure_engine_equivalent () =
-  (* The maintained-closure engine must make the identical decision on
-     every step and end with the identical graph, across policies. *)
+  (* The maintained-closure engine must make the identical decision as
+     the default backend on every step and end with the identical
+     graph, across policies. *)
   List.iter
     (fun policy ->
       List.iter
         (fun seed ->
           let schedule = Gen.basic (profile seed) in
-          let dfs = Cs.create ~policy () in
+          let default = Cs.create ~policy () in
           let clo = Cs.create ~policy ~oracle:Dct_graph.Cycle_oracle.Closure () in
           List.iter
             (fun s ->
-              let a = Cs.step dfs s in
+              let a = Cs.step default s in
               let b = Cs.step clo s in
               if a <> b then
                 Alcotest.failf "engines disagree on %s (seed %d)"
@@ -117,7 +118,7 @@ let test_closure_engine_equivalent () =
                (Policy.name policy))
             true
             (Dct_graph.Digraph.equal
-               (Gs.graph (Cs.graph_state dfs))
+               (Gs.graph (Cs.graph_state default))
                (Gs.graph (Cs.graph_state clo))))
         [ 1; 2; 3 ])
     [ Policy.No_deletion; Policy.Greedy_c1 ]
