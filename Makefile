@@ -78,12 +78,14 @@ bench:
 	dune exec bench/main.exe -- oracle
 
 # CI gate: tiny sweep, exits non-zero if the backends disagree or the
-# emitted BENCH_oracle.json is malformed.
+# emitted BENCH_oracle.smoke.json fails validation.  Every sweep writes
+# BENCH_<sweep>.json, or BENCH_<sweep>.smoke.json for its smoke run,
+# through bench/bench_io.ml, so no run overwrites another's file.
 bench-smoke:
 	dune exec bench/main.exe -- oracle-smoke
 
 # Tiny sweep with per-query latency histograms recorded next to the
-# wall-clock numbers in BENCH_oracle.json.
+# wall-clock numbers in BENCH_oracle_latency.smoke.json.
 bench-latency:
 	dune exec bench/main.exe -- oracle-latency
 
@@ -95,19 +97,19 @@ bench-engine:
 	dune exec bench/main.exe -- engine
 
 # CI gate: two-config engine sweep, exits non-zero on a differential
-# failure or a malformed BENCH_engine.json.
+# failure or a malformed BENCH_engine.smoke.json.
 bench-engine-smoke:
 	dune exec bench/main.exe -- engine-smoke
 
 # The domains axis alone: each parallel row (one applier domain per
 # shard) next to its Inline baseline, with speedup_vs_single_domain
-# and host_cores recorded in BENCH_engine.json.
+# and host_cores recorded in BENCH_engine_par.json.
 bench-engine-par:
 	dune exec bench/main.exe -- engine-par
 
 # CI gate: one inline/domains pair; the parallel row's differential
 # runs the full check (single-node scheduler + Inline executor's shard
-# state + trace byte-equality).
+# state + trace byte-equality); writes BENCH_engine_par.smoke.json.
 bench-engine-par-smoke:
 	dune exec bench/main.exe -- engine-par-smoke
 
@@ -119,7 +121,7 @@ bench-policy:
 	dune exec bench/main.exe -- policy
 
 # CI gate: two-config policy sweep, exits non-zero on a divergence or a
-# malformed BENCH_policy.json.
+# malformed BENCH_policy.smoke.json.
 bench-policy-smoke:
 	dune exec bench/main.exe -- policy-smoke
 
@@ -131,7 +133,7 @@ bench-check:
 	dune exec bench/main.exe -- check
 
 # CI gate: tiny check sweep, exits non-zero on a residency growth, a
-# checked-mode divergence, or a malformed BENCH_check.json.
+# checked-mode divergence, or a malformed BENCH_check.smoke.json.
 bench-check-smoke:
 	dune exec bench/main.exe -- check-smoke
 
@@ -143,7 +145,7 @@ bench-net:
 	dune exec bench/main.exe -- net
 
 # CI gate: every workload class once with tiny traffic; exits non-zero
-# on a missing class row or a malformed BENCH_net.json.
+# on a missing class row or a malformed BENCH_net.smoke.json.
 bench-net-smoke:
 	dune exec bench/main.exe -- net-smoke
 
@@ -155,7 +157,7 @@ bench-graph:
 	dune exec bench/main.exe -- graph
 
 # CI gate: small windows, same shape, single-core-sized; exits
-# non-zero on a residency leak or a malformed BENCH_graph.json.
+# non-zero on a residency leak or a malformed BENCH_graph.smoke.json.
 bench-graph-smoke:
 	dune exec bench/main.exe -- graph-smoke
 

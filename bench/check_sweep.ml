@@ -1,5 +1,5 @@
 (* The history-checker sweep: streaming throughput by level and trace
-   size (writes BENCH_check.json).
+   size (writes BENCH_check.json, or BENCH_check.smoke.json).
 
    The workload is a synthetic round-robin history: [mpl] transaction
    slots, each cycling begin / read / read / write / commit over a
@@ -19,7 +19,7 @@
      parse, adapt, analyze — the exact [dct check trace.jsonl] path.
 
    The smoke run is the CI gate: tiny sizes, exits non-zero when
-   BENCH_check.json is malformed or a residency gauge grew past the
+   its file fails Bench_io's validation or a residency gauge grew past the
    workload's structural bound.  The full run additionally enforces
    the acceptance bar: >= 100k events/s at the atomicity level on the
    10^6-event rows, both in-memory and end-to-end. *)
@@ -28,6 +28,7 @@ module H = Dct_check.History
 module C = Dct_check.Checker
 module V = Dct_check.Violation
 module Prng = Dct_workload.Prng
+module Json = Dct_telemetry.Json
 
 let mpl = 8
 let entities = 64
@@ -56,14 +57,9 @@ let synthesize ~n ~seed f =
     f { H.index = i; line = 0; op }
   done
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
 let feed_row ~level ~n ~seed =
   let chk = C.create ~level () in
-  let wall, () = time (fun () -> synthesize ~n ~seed (C.feed chk)) in
+  let wall, () = Bench_io.time (fun () -> synthesize ~n ~seed (C.feed chk)) in
   (wall, C.finalize chk)
 
 (* The same synthetic history as telemetry JSONL: every operation is a
@@ -71,7 +67,9 @@ let feed_row ~level ~n ~seed =
    dialect ([write] carries the final write and commits, so the
    commit stage is folded into the write stage: 4 steps per cycle). *)
 let write_jsonl path ~events ~seed =
+  let module E = Dct_telemetry.Event in
   let oc = open_out path in
+  let sink = Dct_telemetry.Sink.channel oc in
   let rng = Prng.create ~seed in
   let slot_txn = Array.init mpl (fun i -> i) in
   let slot_stage = Array.make mpl 0 in
@@ -81,24 +79,22 @@ let write_jsonl path ~events ~seed =
   while !emitted < events do
     incr i;
     let s = !i mod mpl in
-    let t = slot_txn.(s) in
+    let txn = slot_txn.(s) in
     let kind, reads, writes =
       match slot_stage.(s) with
-      | 0 -> ("begin", "", "")
-      | 1 | 2 -> ("read", string_of_int (Prng.int rng entities), "")
-      | _ -> ("write", "", string_of_int (Prng.int rng entities))
+      | 0 -> ("begin", [], [])
+      | 1 | 2 -> ("read", [ Prng.int rng entities ], [])
+      | _ -> ("write", [], [ Prng.int rng entities ])
     in
     slot_stage.(s) <- (slot_stage.(s) + 1) mod 4;
     if slot_stage.(s) = 0 then begin
       slot_txn.(s) <- !next;
       incr next
     end;
-    Printf.fprintf oc
-      "{\"ev\":\"step\",\"i\":%d,\"kind\":%S,\"txn\":%d,\"reads\":[%s],\"writes\":[%s]}\n"
-      !i kind t reads writes;
-    Printf.fprintf oc
-      "{\"ev\":\"decision\",\"i\":%d,\"txn\":%d,\"outcome\":\"accepted\",\"reason\":\"\"}\n"
-      !i t;
+    Dct_telemetry.Sink.emit sink
+      (E.Step_submitted { index = !i; step = { E.kind; txn; reads; writes } });
+    Dct_telemetry.Sink.emit sink
+      (E.Decision { index = !i; txn; outcome = "accepted"; reason = "" });
     emitted := !emitted + 2
   done;
   close_out oc
@@ -109,56 +105,34 @@ let jsonl_row ~level ~events ~seed =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       write_jsonl path ~events ~seed;
-      let wall, result = time (fun () -> C.check_file ~level path) in
+      let wall, result = Bench_io.time (fun () -> C.check_file ~level path) in
       match result with
       | Error e -> failwith ("check_file failed: " ^ e)
       | Ok (report, stats) -> (wall, report, stats))
 
 let json_of_row ~mode ~level ~n ~wall (r : C.report) =
-  Printf.sprintf
-    "    {\"mode\": %S, \"level\": %S, \"events\": %d, \"wall_seconds\": \
-     %.4f, \"events_per_sec\": %.0f, \"max_live\": %d, \"max_resident\": %d, \
-     \"violations\": %d}"
-    mode (V.level_name level) n wall
-    (float_of_int n /. wall)
-    r.C.max_live r.C.max_resident r.C.total
+  Json.Obj
+    [
+      ("mode", Json.String mode);
+      ("level", Json.String (V.level_name level));
+      ("events", Json.Int n);
+      ("wall_seconds", Json.Float wall);
+      ("events_per_sec", Json.Float (float_of_int n /. wall));
+      ("max_live", Json.Int r.C.max_live);
+      ("max_resident", Json.Int r.C.max_resident);
+      ("violations", Json.Int r.C.total);
+    ]
 
-let output_file = "BENCH_check.json"
-
-let write_json ~smoke rows =
-  let oc = open_out output_file in
-  Printf.fprintf oc
-    "{\"bench\": \"check_sweep\", \"version\": 1, \"smoke\": %b,\n\
-    \  \"rows\": [\n%s\n  ]}\n"
-    smoke
-    (String.concat ",\n" rows);
-  close_out oc
-
-(* Dependency-free validation of what we just wrote, policy_sweep
-   style: header, row count, and an events_per_sec per row. *)
-let validate ~n_rows () =
-  let ic = open_in output_file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let count_substring sub =
-    let m = String.length sub and l = String.length s in
-    let rec go i acc =
-      if i + m > l then acc
-      else if String.sub s i m = sub then go (i + m) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  if count_substring "\"bench\": \"check_sweep\"" <> 1 then
-    err "missing bench header";
-  if count_substring "\"events_per_sec\": " <> n_rows then
-    err "expected %d events_per_sec entries" n_rows;
-  if count_substring "\"mode\": \"jsonl\"" <> 1 then
-    err "expected exactly one end-to-end jsonl row";
-  !errors
+let checks =
+  Bench_io.
+    [
+      ( "one events_per_sec per row",
+        each (fun r -> Json.float "events_per_sec" r >= 0.0) );
+      ( "exactly one jsonl row",
+        fun rows ->
+          List.length (List.filter (fun r -> Json.string "mode" r = "jsonl") rows)
+          = 1 );
+    ]
 
 let run ~smoke () =
   let base = if smoke then 20_000 else 100_000 in
@@ -226,12 +200,4 @@ let run ~smoke () =
     rows
     @ [ row ~mode:"jsonl" ~level:V.Atomicity ~n:jsonl_events ~wall r ]
   in
-  write_json ~smoke rows;
-  (match validate ~n_rows:(List.length rows) () with
-  | [] -> Printf.printf "%s validated (%d rows)\n" output_file (List.length rows)
-  | errs ->
-      List.iter (fun e -> fail "validation: %s" e) errs);
-  if !failures > 0 then begin
-    Printf.printf "%d failure(s)\n" !failures;
-    exit 1
-  end
+  Bench_io.emit ~sweep:"check" ~smoke ~checks ~failures:!failures rows

@@ -8,19 +8,21 @@
    and the cross-shard arc count (the conflicts no shard sees in full).
    Every configuration is also run through the engine's differential
    mode, so the sweep doubles as an end-to-end exactness check; results
-   land in BENCH_engine.json, re-read and validated before exit (the
-   [make bench-engine] gate).
+   land in BENCH_engine.json (BENCH_engine_par.json for the domains
+   pairs alone, .smoke.json for either smoke run), re-read and
+   validated by Bench_io before exit (the [make bench-engine] gate).
 
    The domains axis ([domains > 1]) runs the Domains executor — one
    applier domain per shard behind the coordinator — against the Inline
    row of the same workload, and records the speedup.
-   [host_cores] is recorded alongside: on a single-core host the
+   The file header records [host_cores]: on a single-core host the
    domains are OS threads and the honest speedup is ~1x (or below);
    the exactness checks still hold there, which is the point. *)
 
 module Gen = Dct_workload.Generator
 module Policy = Dct_deletion.Policy
 module Eng = Dct_engine.Engine
+module Json = Dct_telemetry.Json
 
 type config = {
   shards : int;
@@ -124,7 +126,8 @@ let run_config c =
     Eng.config ~policy:Policy.Greedy_c1 ~executor ~shards:c.shards
       ~batch:c.batch ()
   in
-  let r = Eng.run (Eng.create cfg) schedule in
+  let engine = Eng.create cfg in
+  let wall, r = Bench_io.time (fun () -> Eng.run engine schedule) in
   (* Timing comes from the run above; a Domains row's exactness check
      runs through the deterministic replay simulator (same protocol,
      and it additionally compares per-shard state and the telemetry
@@ -140,9 +143,7 @@ let run_config c =
     mode = r.Eng.executor;
     steps = r.Eng.steps;
     throughput =
-      (if r.Eng.wall_seconds > 0.0 then
-         float_of_int r.Eng.steps /. r.Eng.wall_seconds
-       else 0.0);
+      (if wall > 0.0 then float_of_int r.Eng.steps /. wall else 0.0);
     committed = r.Eng.committed;
     aborted = r.Eng.aborted;
     coordinator_hwm = coord.resident_hwm;
@@ -151,8 +152,6 @@ let run_config c =
     distributed = r.Eng.distributed_txns;
     differential_ok = Eng.differential_ok d;
   }
-
-let host_cores = Eng.available_domains ()
 
 let same_workload a b =
   a.shards = b.shards && a.batch = b.batch && a.theta = b.theta
@@ -172,106 +171,46 @@ let speedup_of rows r =
     | _ -> 0.0
 
 let json_of_row ~speedup r =
-  Printf.sprintf
-    "    {\"shards\": %d, \"batch\": %d, \"theta\": %.2f, \"cross_shard\": \
-     %.2f, \"n_txns\": %d, \"seed\": %d, \"domains\": %d, \"mode\": %S, \
-     \"host_cores\": %d,\n\
-    \     \"steps\": %d, \"throughput_steps_per_s\": %.1f, \
-     \"speedup_vs_single_domain\": %.3f, \"committed\": %d, \"aborted\": %d,\n\
-    \     \"coordinator_resident_hwm\": %d, \"shard_resident_hwm\": %d, \
-     \"cross_shard_arcs\": %d, \"distributed_txns\": %d, \"differential_ok\": \
-     %b}"
-    r.c.shards r.c.batch r.c.theta r.c.cross_shard r.c.n_txns r.c.seed
-    r.c.domains r.mode host_cores r.steps r.throughput speedup r.committed
-    r.aborted r.coordinator_hwm r.shard_hwm r.cross_arcs r.distributed
-    r.differential_ok
+  Json.Obj
+    [
+      ("shards", Json.Int r.c.shards);
+      ("batch", Json.Int r.c.batch);
+      ("theta", Json.Float r.c.theta);
+      ("cross_shard", Json.Float r.c.cross_shard);
+      ("n_txns", Json.Int r.c.n_txns);
+      ("seed", Json.Int r.c.seed);
+      ("domains", Json.Int r.c.domains);
+      ("mode", Json.String r.mode);
+      ("steps", Json.Int r.steps);
+      ("throughput_steps_per_s", Json.Float r.throughput);
+      ("speedup_vs_single_domain", Json.Float speedup);
+      ("committed", Json.Int r.committed);
+      ("aborted", Json.Int r.aborted);
+      ("coordinator_resident_hwm", Json.Int r.coordinator_hwm);
+      ("shard_resident_hwm", Json.Int r.shard_hwm);
+      ("cross_shard_arcs", Json.Int r.cross_arcs);
+      ("distributed_txns", Json.Int r.distributed);
+      ("differential_ok", Json.Bool r.differential_ok);
+    ]
 
-let output_file = "BENCH_engine.json"
+let checks =
+  Bench_io.
+    [
+      ("every differential_ok is true", each (Json.bool "differential_ok"));
+      ( "one non-negative throughput and speedup per row",
+        each (fun r ->
+            Json.float "throughput_steps_per_s" r >= 0.0
+            && Json.float "speedup_vs_single_domain" r >= 0.0) );
+      (* the residency guarantee, as serialized *)
+      ( "shard hwm <= coordinator hwm",
+        each (fun r ->
+            Json.int "shard_resident_hwm" r
+            <= Json.int "coordinator_resident_hwm" r) );
+    ]
 
-let write_json ~smoke rows =
-  let oc = open_out output_file in
-  Printf.fprintf oc
-    "{\"bench\": \"engine_sweep\", \"version\": 2, \"smoke\": %b, \
-     \"host_cores\": %d,\n\
-    \  \"configs\": [\n%s\n  ]}\n"
-    smoke host_cores
-    (String.concat ",\n" rows);
-  close_out oc
-
-(* Crude but dependency-free validation of what we just wrote: header
-   present, one clean differential per config, every throughput value a
-   non-negative float, and no shard high-water mark above the
-   coordinator's (the residency guarantee, as serialized). *)
-let validate ~n_configs () =
-  let ic = open_in output_file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let count_substring sub =
-    let m = String.length sub and l = String.length s in
-    let rec go i acc =
-      if i + m > l then acc
-      else if String.sub s i m = sub then go (i + m) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  if count_substring "\"bench\": \"engine_sweep\"" <> 1 then
-    err "missing bench header";
-  if count_substring "\"differential_ok\": true" <> n_configs then
-    err "expected %d clean differentials" n_configs;
-  let float_values key =
-    let key = Printf.sprintf "\"%s\": " key in
-    let klen = String.length key in
-    let rec go i acc =
-      if i + klen > String.length s then List.rev acc
-      else if String.sub s i klen = key then begin
-        let stop = ref (i + klen) in
-        while
-          !stop < String.length s
-          && (match s.[!stop] with
-             | '0' .. '9' | '.' | '-' | 'e' -> true
-             | _ -> false)
-        do
-          incr stop
-        done;
-        go !stop (String.sub s (i + klen) (!stop - i - klen) :: acc)
-      end
-      else go (i + 1) acc
-    in
-    go 0 []
-  in
-  let throughputs = float_values "throughput_steps_per_s" in
-  if List.length throughputs <> n_configs then
-    err "expected %d throughput entries, found %d" n_configs
-      (List.length throughputs);
-  List.iter
-    (fun tok ->
-      match float_of_string_opt tok with
-      | Some f when f >= 0.0 -> ()
-      | _ -> err "unparseable throughput %S" tok)
-    throughputs;
-  let speedups = List.filter_map float_of_string_opt
-      (float_values "speedup_vs_single_domain") in
-  if List.length speedups <> n_configs then
-    err "expected %d speedup entries" n_configs;
-  List.iter (fun f -> if f < 0.0 then err "negative speedup %.3f" f) speedups;
-  let ints key = List.filter_map int_of_string_opt (float_values key) in
-  let coord = ints "coordinator_resident_hwm" in
-  let shard = ints "shard_resident_hwm" in
-  if List.length coord = n_configs && List.length shard = n_configs then
-    List.iter2
-      (fun c sh ->
-        if sh > c then err "shard hwm %d exceeds coordinator hwm %d" sh c)
-      coord shard
-  else err "missing residency high-water marks";
-  !errors
-
-let run_rows ~smoke configs =
+let run_rows ~sweep ~smoke configs =
   Printf.printf "engine sweep (%d configs, %d host cores)%s\n"
-    (List.length configs) host_cores
+    (List.length configs) Bench_io.host_cores
     (if smoke then " [smoke]" else "");
   Printf.printf "%6s %6s %6s %7s %6s %10s %8s %10s %9s %9s %6s\n" "shards"
     "batch" "theta" "domains" "steps" "steps/s" "speedup" "coord hwm"
@@ -290,22 +229,14 @@ let run_rows ~smoke configs =
         json_of_row ~speedup r)
       rows
   in
-  write_json ~smoke jsons;
-  (match validate ~n_configs:(List.length configs) () with
-  | [] -> Printf.printf "wrote %s (validated)\n" output_file
-  | errs ->
-      List.iter
-        (Printf.eprintf "engine sweep: %s malformed: %s\n" output_file)
-        errs;
-      incr failures);
-  if host_cores = 1 then
+  if Bench_io.host_cores = 1 then
     Printf.printf
       "note: single-core host — domain rows measure protocol overhead, \
        not speedup\n";
-  if !failures > 0 then exit 1
+  Bench_io.emit ~sweep ~smoke ~checks ~failures:!failures jsons
 
 let run ~smoke () =
-  run_rows ~smoke (if smoke then smoke_configs else full_configs)
+  run_rows ~sweep:"engine" ~smoke (if smoke then smoke_configs else full_configs)
 
 (* Only the parallel rows and their Inline baselines. *)
-let run_par ~smoke () = run_rows ~smoke (par_configs ~smoke)
+let run_par ~smoke () = run_rows ~sweep:"engine_par" ~smoke (par_configs ~smoke)

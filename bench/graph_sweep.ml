@@ -14,15 +14,16 @@
    histograms (through the oracle's telemetry probe), and the byte
    gauge sampled when the window first fills and again at end of
    stream.  A substrate that leaked slot capacity with the historical
-   id space would show [bytes_final >> bytes_first_full]; the validate
-   step fails the run if the ratio exceeds [flatness_bound].
+   id space would show [bytes_final >> bytes_first_full]; the run fails
+   if the ratio exceeds [flatness_bound].
 
-   Results land in BENCH_graph.json (the [make bench-graph-smoke]
-   gate). *)
+   Results land in BENCH_graph.json (BENCH_graph.smoke.json for the
+   [make bench-graph-smoke] gate), re-read and validated by Bench_io. *)
 
 module Intset = Dct_graph.Intset
 module Oracle = Dct_graph.Cycle_oracle
 module Prng = Dct_workload.Prng
+module Json = Dct_telemetry.Json
 
 type config = {
   resident : int; (* target live-window size n *)
@@ -94,7 +95,7 @@ type row = {
   ops : int;
   bytes_first_full : int;
   bytes_final : int;
-  latency : string;
+  latency : Json.t;
 }
 
 (* One deterministic replay.  The PRNG is re-seeded per backend so every
@@ -117,8 +118,7 @@ let replay cfg backend =
   in
   let ops = ref 0 in
   let bytes_first_full = ref 0 in
-  let t0 = Sys.time () in
-  for id = 0 to total - 1 do
+  let step id =
     Oracle.add_node o id;
     incr ops;
     if !live > 0 then begin
@@ -168,8 +168,13 @@ let replay cfg backend =
       window.((!head + !live) mod cfg.resident) <- id;
       incr live
     end
-  done;
-  let wall = Sys.time () -. t0 in
+  in
+  let wall, () =
+    Bench_io.time (fun () ->
+        for id = 0 to total - 1 do
+          step id
+        done)
+  in
   {
     backend;
     wall;
@@ -177,41 +182,49 @@ let replay cfg backend =
     bytes_first_full =
       (if !bytes_first_full = 0 then Oracle.bytes o else !bytes_first_full);
     bytes_final = Oracle.bytes o;
-    latency = Oracle_sweep.json_of_latency m backend;
+    latency = Oracle_sweep.latency_json m;
   }
 
 let ops_per_sec r = if r.wall > 0.0 then float_of_int r.ops /. r.wall else nan
 
 let json_of_row cfg r =
-  Printf.sprintf
-    "{\"backend\": %S, \"wall_seconds\": %.6f, \"ops\": %d, \
-     \"ops_per_sec\": %.1f, \"bytes_first_full\": %d, \"bytes_final\": %d, \
-     \"bytes_per_resident\": %.2f, \"latency\": {%s}}"
-    (Oracle.backend_name r.backend)
-    r.wall r.ops (ops_per_sec r) r.bytes_first_full r.bytes_final
-    (float_of_int r.bytes_final /. float_of_int cfg.resident)
-    r.latency
+  Json.Obj
+    ([
+       ("backend", Json.String (Oracle.backend_name r.backend));
+       ("wall_seconds", Json.Float r.wall);
+       ("ops", Json.Int r.ops);
+     ]
+    (* no member when the run was too fast for the clock to see *)
+    @ (if r.wall > 0.0 then [ ("ops_per_sec", Json.Float (ops_per_sec r)) ]
+       else [])
+    @ [
+        ("bytes_first_full", Json.Int r.bytes_first_full);
+        ("bytes_final", Json.Int r.bytes_final);
+        ( "bytes_per_resident",
+          Json.Float (float_of_int r.bytes_final /. float_of_int cfg.resident) );
+        ("latency", r.latency);
+      ])
 
 let json_of_config cfg rows =
-  Printf.sprintf
-    "    {\"resident\": %d, \"churn\": %d, \"avg_degree\": %d, \
-     \"total_ids\": %d, \"seed\": %d,\n\
-    \     \"results\": [%s]}"
-    cfg.resident cfg.churn cfg.avg_degree
-    (cfg.resident * cfg.churn)
-    cfg.seed
-    (String.concat ", " (List.map (json_of_row cfg) rows))
+  Json.Obj
+    [
+      ("resident", Json.Int cfg.resident);
+      ("churn", Json.Int cfg.churn);
+      ("avg_degree", Json.Int cfg.avg_degree);
+      ("total_ids", Json.Int (cfg.resident * cfg.churn));
+      ("seed", Json.Int cfg.seed);
+      ("results", Json.List (List.map (json_of_row cfg) rows));
+    ]
 
-let output_file = "BENCH_graph.json"
-
-let write_json ~smoke rows =
-  let oc = open_out output_file in
-  Printf.fprintf oc
-    "{\"bench\": \"graph_sweep\", \"version\": 1, \"smoke\": %b,\n\
-    \  \"configs\": [\n%s\n  ]}\n"
-    smoke
-    (String.concat ",\n" rows);
-  close_out oc
+let checks =
+  Bench_io.
+    [
+      ( "one bytes_per_resident per result",
+        each (fun c ->
+            List.for_all
+              (fun r -> Json.float "bytes_per_resident" r >= 0.0)
+              (Json.list "results" c)) );
+    ]
 
 let run ~smoke () =
   let configs = if smoke then smoke_configs else full_configs in
@@ -250,32 +263,4 @@ let run ~smoke () =
         json_of_config cfg results)
       configs
   in
-  write_json ~smoke rows;
-  (* Re-read and sanity-check what we just wrote, oracle-sweep style. *)
-  let ic = open_in output_file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let count_substring sub =
-    let m = String.length sub and l = String.length s in
-    let rec go i acc =
-      if i + m > l then acc
-      else if String.sub s i m = sub then go (i + m) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  let n_results =
-    List.fold_left (fun a c -> a + List.length c.backends) 0 configs
-  in
-  if count_substring "\"bench\": \"graph_sweep\"" <> 1 then begin
-    Printf.eprintf "graph sweep: %s malformed: missing header\n" output_file;
-    incr failures
-  end;
-  if count_substring "\"bytes_per_resident\"" <> n_results then begin
-    Printf.eprintf
-      "graph sweep: %s malformed: expected %d bytes_per_resident entries\n"
-      output_file n_results;
-    incr failures
-  end;
-  if !failures = 0 then Printf.printf "wrote %s (validated)\n" output_file
-  else exit 1
+  Bench_io.emit ~sweep:"graph" ~smoke ~checks ~failures:!failures rows

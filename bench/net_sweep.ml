@@ -8,22 +8,23 @@
    completed/aborted transaction split, and the server engine's
    resident-graph high-water marks (coordinator and worst shard) — the
    number the paper's deletion machinery is supposed to keep low while
-   traffic flows.  Results land in BENCH_net.json, re-read and
-   validated before exit (the [make bench-net] gate): every workload
-   class must have a row, including the pinned-deletability scenario
-   (long-reader-pin), whose coordinator high-water mark is what the
-   adversarial long readers are pinning.
+   traffic flows.  Results land in BENCH_net.json (BENCH_net.smoke.json
+   for the smoke run), re-read and validated by Bench_io before exit
+   (the [make bench-net] gate): every workload class must have a row,
+   including the pinned-deletability scenario (long-reader-pin), whose
+   coordinator high-water mark is what the adversarial long readers
+   are pinning.
 
-   [host_cores] is recorded honestly: on a single-core CI host the
-   client threads and the server interleave on one core, so throughput
-   measures protocol + engine overhead, not parallelism. *)
+   The header records [host_cores] honestly: on a single-core CI host
+   the client threads and the server interleave on one core, so
+   throughput measures protocol + engine overhead, not parallelism. *)
 
 module Mix = Dct_workload.Mix
 module Policy = Dct_deletion.Policy
 module Didx = Dct_deletion.Deletability_index
 module Eng = Dct_engine.Engine
-module Net = Dct_net
-module Metrics = Dct_telemetry.Metrics
+module Driver = Dct_net.Driver
+module Json = Dct_telemetry.Json
 
 type config = {
   mix : Mix.t;
@@ -83,165 +84,95 @@ let smoke_configs =
       };
     ]
 
-type row = {
-  c : config;
-  backend : string;
-  txns : int;
-  completed : int;
-  aborted : int;
-  ops : int;
-  throughput : float;
-  p50_us : float;
-  p90_us : float;
-  p99_us : float;
-  coordinator_hwm : int;
-  shard_hwm : int;
-}
+let run_config c =
+  Driver.loopback ~policy:c.policy ?gc_index:c.gc_index ~shards:c.shards
+    ~batch:c.batch ~flush_ms:2
+    {
+      Driver.clients = c.clients;
+      txns_per_client = c.txns_per_client;
+      mix = c.mix;
+      keys = c.keys;
+      seed = c.seed;
+      dialect = Dct_net.Wire.Binary;
+    }
 
-let host_cores = Eng.available_domains ()
+let gc_index_name c =
+  match c.gc_index with None -> "naive" | Some m -> Didx.mode_name m
 
-let sock_path idx =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "dct-net-sweep-%d-%d.sock" (Unix.getpid ()) idx)
+let json_of_row c (lb : Driver.loopback) =
+  let d = lb.driver and r = lb.report in
+  Json.Obj
+    [
+      ("mix", Json.String (Mix.name c.mix));
+      ("backend", Json.String r.Eng.executor);
+      ("clients", Json.Int c.clients);
+      ("txns_per_client", Json.Int c.txns_per_client);
+      ("keys", Json.Int c.keys);
+      ("shards", Json.Int c.shards);
+      ("batch", Json.Int c.batch);
+      ("policy", Json.String (Policy.name c.policy));
+      ("gc_index", Json.String (gc_index_name c));
+      ("seed", Json.Int c.seed);
+      ("txns", Json.Int d.txns);
+      ("completed", Json.Int d.completed);
+      ("aborted", Json.Int d.aborted);
+      ("ops", Json.Int d.ops);
+      ("throughput_ops_per_s", Json.Float d.throughput);
+      ("p50_us", Json.Float lb.p50_us);
+      ("p90_us", Json.Float lb.p90_us);
+      ("p99_us", Json.Float lb.p99_us);
+      ( "coordinator_resident_hwm",
+        Json.Int r.Eng.coordinator.Dct_engine.Coordinator.resident_hwm );
+      ("shard_resident_hwm", Json.Int r.Eng.shard_resident_hwm);
+    ]
 
-let run_config idx c =
-  let cfg =
-    Eng.config ~policy:c.policy ?gc_index:c.gc_index ~shards:c.shards
-      ~batch:c.batch ()
-  in
-  let srv =
-    Net.Server.create ~flush_ms:2 ~engine:(Eng.create cfg)
-      (Net.Addr.Unix_path (sock_path idx))
-  in
-  Net.Server.start srv;
-  let dres =
-    Net.Driver.run
-      {
-        Net.Driver.clients = c.clients;
-        txns_per_client = c.txns_per_client;
-        mix = c.mix;
-        keys = c.keys;
-        seed = c.seed;
-        dialect = Net.Wire.Binary;
-      }
-      (Net.Server.addr srv)
-  in
-  Net.Server.stop srv;
-  let report = Net.Server.finish srv ~wall_seconds:dres.Net.Driver.wall_seconds in
-  let m = dres.Net.Driver.metrics in
-  let pct p = Metrics.histo_percentile m "net.latency.all" p /. 1e3 in
-  {
-    c;
-    backend = report.Eng.executor;
-    txns = dres.Net.Driver.txns;
-    completed = dres.Net.Driver.completed;
-    aborted = dres.Net.Driver.aborted;
-    ops = dres.Net.Driver.ops;
-    throughput = dres.Net.Driver.throughput;
-    p50_us = pct 50.;
-    p90_us = pct 90.;
-    p99_us = pct 99.;
-    coordinator_hwm = report.Eng.coordinator.Dct_engine.Coordinator.resident_hwm;
-    shard_hwm = report.Eng.shard_resident_hwm;
-  }
-
-let json_of_row r =
-  Printf.sprintf
-    "    {\"mix\": %S, \"backend\": %S, \"clients\": %d, \"txns_per_client\": \
-     %d, \"keys\": %d, \"shards\": %d, \"batch\": %d, \"policy\": %S, \
-     \"gc_index\": %S, \"seed\": %d, \"host_cores\": %d,\n\
-    \     \"txns\": %d, \"completed\": %d, \"aborted\": %d, \"ops\": %d, \
-     \"throughput_ops_per_s\": %.1f,\n\
-    \     \"p50_us\": %.1f, \"p90_us\": %.1f, \"p99_us\": %.1f, \
-     \"coordinator_resident_hwm\": %d, \"shard_resident_hwm\": %d}"
-    (Mix.name r.c.mix) r.backend r.c.clients r.c.txns_per_client r.c.keys
-    r.c.shards r.c.batch (Policy.name r.c.policy)
-    (match r.c.gc_index with None -> "naive" | Some m -> Didx.mode_name m)
-    r.c.seed host_cores r.txns r.completed r.aborted r.ops r.throughput
-    r.p50_us r.p90_us r.p99_us r.coordinator_hwm r.shard_hwm
-
-let output_file = "BENCH_net.json"
-
-let write_json ~smoke rows =
-  let oc = open_out output_file in
-  Printf.fprintf oc
-    "{\"bench\": \"net_sweep\", \"version\": 1, \"smoke\": %b, \
-     \"host_cores\": %d,\n\
-    \  \"configs\": [\n%s\n  ]}\n"
-    smoke host_cores
-    (String.concat ",\n" rows);
-  close_out oc
-
-(* Dependency-free validation of what we just wrote: header present,
-   a row for every workload class (the pinned-deletability scenario
-   among them), every percentile trio ordered, and no unaccounted
-   transactions. *)
-let validate ~rows () =
-  let ic = open_in output_file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  let count_substring sub =
-    let m = String.length sub and l = String.length s in
-    let rec go i acc =
-      if i + m > l then acc
-      else if String.sub s i m = sub then go (i + m) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  if count_substring "\"bench\": \"net_sweep\"" <> 1 then
-    err "missing bench header";
-  List.iter
-    (fun mix ->
-      if count_substring (Printf.sprintf "\"mix\": %S" (Mix.name mix)) = 0 then
-        err "no row for workload class %S" (Mix.name mix))
-    Mix.all;
-  if count_substring "\"throughput_ops_per_s\"" <> List.length rows then
-    err "expected %d throughput entries" (List.length rows);
-  List.iter
-    (fun r ->
-      if r.p50_us > r.p90_us || r.p90_us > r.p99_us then
-        err "unordered percentiles for %S: %.1f/%.1f/%.1f" (Mix.name r.c.mix)
-          r.p50_us r.p90_us r.p99_us;
-      if r.throughput < 0.0 then err "negative throughput";
-      if r.completed + r.aborted <> r.txns then
-        err "unaccounted transactions for %S: %d + %d <> %d"
-          (Mix.name r.c.mix) r.completed r.aborted r.txns)
-    rows;
-  !errors
+let checks =
+  Bench_io.
+    [
+      ( "a row for every workload class",
+        fun rows ->
+          List.for_all
+            (fun mix ->
+              List.exists (fun r -> Json.string "mix" r = Mix.name mix) rows)
+            Mix.all );
+      ( "one non-negative throughput per row",
+        each (fun r -> Json.float "throughput_ops_per_s" r >= 0.0) );
+      ( "p50 <= p90 <= p99",
+        each (fun r ->
+            Json.float "p50_us" r <= Json.float "p90_us" r
+            && Json.float "p90_us" r <= Json.float "p99_us" r) );
+      ( "completed + aborted = txns",
+        each (fun r ->
+            Json.int "completed" r + Json.int "aborted" r = Json.int "txns" r) );
+    ]
 
 let run ~smoke () =
   let configs = if smoke then smoke_configs else full_configs in
   Printf.printf "net sweep (%d configs, %d host cores)%s\n"
-    (List.length configs) host_cores
+    (List.length configs) Bench_io.host_cores
     (if smoke then " [smoke]" else "");
   Printf.printf "%-16s %7s %6s %8s %10s %8s %8s %8s %6s %6s\n" "mix" "shards"
     "policy" "gcidx" "ops/s" "p50us" "p99us" "txns" "coord" "shard";
-  let rows = List.mapi run_config configs in
-  let failures = ref 0 in
-  List.iter
-    (fun r ->
-      Printf.printf "%-16s %7d %6s %8s %10.0f %8.0f %8.0f %8d %6d %6d\n"
-        (Mix.name r.c.mix) r.c.shards
-        (String.sub (Policy.name r.c.policy) 0
-           (min 6 (String.length (Policy.name r.c.policy))))
-        (match r.c.gc_index with None -> "naive" | Some m -> Didx.mode_name m)
-        r.throughput r.p50_us r.p99_us r.txns r.coordinator_hwm r.shard_hwm)
-    rows;
-  write_json ~smoke (List.map json_of_row rows);
-  (match validate ~rows () with
-  | [] -> Printf.printf "wrote %s (validated)\n" output_file
-  | errs ->
-      List.iter
-        (Printf.eprintf "net sweep: %s malformed: %s\n" output_file)
-        errs;
-      incr failures);
-  if host_cores = 1 then
+  let rows =
+    List.map
+      (fun c ->
+        let lb = run_config c in
+        let d = lb.Driver.driver and r = lb.Driver.report in
+        Printf.printf "%-16s %7d %6s %8s %10.0f %8.0f %8.0f %8d %6d %6d\n"
+          (Mix.name c.mix) c.shards
+          (String.sub (Policy.name c.policy) 0
+             (min 6 (String.length (Policy.name c.policy))))
+          (gc_index_name c) d.Driver.throughput lb.Driver.p50_us
+          lb.Driver.p99_us d.Driver.txns
+          r.Eng.coordinator.Dct_engine.Coordinator.resident_hwm
+          r.Eng.shard_resident_hwm;
+        json_of_row c lb)
+      configs
+  in
+  if Bench_io.host_cores = 1 then
     Printf.printf
       "note: single-core host — clients and server share one core; \
        throughput measures protocol + engine overhead\n";
-  if !failures > 0 then exit 1
+  (* throughput and latency come from the driver's own clock *)
+  Bench_io.emit ~clock:"Unix.gettimeofday (Dct_net.Driver)" ~sweep:"net"
+    ~smoke ~checks ~failures:0 rows

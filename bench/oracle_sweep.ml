@@ -6,12 +6,15 @@
    the identical operation sequence — arc attempts that
    would close a cycle are replayed as (negative) would_cycle probes
    followed by the insert, exactly the scheduler's access pattern.
-   Results land in BENCH_oracle.json, which is re-read and validated
-   before exiting (the [make bench-smoke] gate). *)
+   Results land in BENCH_oracle.json (BENCH_oracle.smoke.json for the
+   smoke run, BENCH_oracle_latency.smoke.json with per-query latency),
+   re-read and validated by Bench_io before exiting (the
+   [make bench-smoke] gate). *)
 
 module Intset = Dct_graph.Intset
 module Oracle = Dct_graph.Cycle_oracle
 module Prng = Dct_workload.Prng
+module Json = Dct_telemetry.Json
 
 type op =
   | Add_node of int
@@ -87,47 +90,21 @@ let apply o = function
 
 let replay ?probe backend trace =
   let o = Oracle.create ?probe backend in
-  let t0 = Sys.time () in
-  List.iter (apply o) trace;
-  (Sys.time () -. t0, o)
+  Bench_io.time (fun () -> List.iter (apply o) trace; o)
 
 (* Per-query latency recording ([main.exe oracle-latency]): a telemetry
    probe feeds the shared fixed-bucket histograms, serialized next to
-   wall_seconds.  The extra keys never collide with the substrings
-   [validate] counts. *)
+   wall_seconds. *)
 let probe_into m =
   Dct_telemetry.Probe.make (fun ~op ~backend ~ns ->
       Dct_telemetry.Metrics.observe m
         (Printf.sprintf "oracle.%s.%s" backend op)
         ns)
 
-let json_of_latency m backend =
+(* Every histogram of a registry [probe_into] fed, by name. *)
+let latency_json m =
   let module M = Dct_telemetry.Metrics in
-  let prefix = "oracle." ^ Oracle.backend_name backend ^ "." in
-  let plen = String.length prefix in
-  List.filter_map
-    (fun name ->
-      if String.length name > plen && String.sub name 0 plen = prefix then
-        let op = String.sub name plen (String.length name - plen) in
-        let buckets =
-          M.histo_buckets m name
-          |> List.filter (fun (_, c) -> c > 0)
-          |> List.map (fun (b, c) ->
-                 Printf.sprintf "[%s, %d]"
-                   (if b = infinity then "\"inf\"" else Printf.sprintf "%.0f" b)
-                   c)
-        in
-        Some
-          (Printf.sprintf
-             "%S: {\"count\": %d, \"mean_ns\": %.1f, \"p50_ns\": %.1f, \
-              \"p99_ns\": %.1f, \"buckets\": [%s]}"
-             op (M.histo_count m name) (M.histo_mean m name)
-             (M.histo_percentile m name 50.0)
-             (M.histo_percentile m name 99.0)
-             (String.concat ", " buckets))
-      else None)
-    (M.histos m)
-  |> String.concat ", "
+  Json.Obj (List.map (fun name -> (name, M.histo_json m name)) (M.histos m))
 
 (* Replays under [Checked] raise on the first divergence; a clean run
    counts zero disagreements. *)
@@ -159,86 +136,38 @@ let smoke_configs =
   ]
 
 let json_of_result (backend, wall, latency) =
-  Printf.sprintf "{\"backend\": %S, \"wall_seconds\": %.6f%s}"
-    (Oracle.backend_name backend)
-    wall
-    (match latency with
-    | None -> ""
-    | Some l -> Printf.sprintf ", \"latency\": {%s}" l)
+  Json.Obj
+    ([
+       ("backend", Json.String (Oracle.backend_name backend));
+       ("wall_seconds", Json.Float wall);
+     ]
+    @ match latency with None -> [] | Some l -> [ ("latency", l) ])
 
 let json_of_config c ~ops ~results ~disagreements =
-  Printf.sprintf
-    "    {\"n\": %d, \"avg_degree\": %d, \"delete_rate\": %.2f, \
-     \"abort_rate\": %.2f, \"seed\": %d, \"ops\": %d,\n\
-    \     \"results\": [%s], \"disagreements\": %d}"
-    c.n c.avg_degree c.delete_rate c.abort_rate c.seed ops
-    (String.concat ", " (List.map json_of_result results))
-    disagreements
+  Json.Obj
+    [
+      ("n", Json.Int c.n);
+      ("avg_degree", Json.Int c.avg_degree);
+      ("delete_rate", Json.Float c.delete_rate);
+      ("abort_rate", Json.Float c.abort_rate);
+      ("seed", Json.Int c.seed);
+      ("ops", Json.Int ops);
+      ("results", Json.List (List.map json_of_result results));
+      ("disagreements", Json.Int disagreements);
+    ]
 
-let output_file = "BENCH_oracle.json"
-
-let write_json ~smoke rows =
-  let oc = open_out output_file in
-  Printf.fprintf oc
-    "{\"bench\": \"oracle_sweep\", \"version\": 1, \"smoke\": %b,\n\
-    \  \"configs\": [\n%s\n  ]}\n"
-    smoke
-    (String.concat ",\n" rows);
-  close_out oc
-
-(* Crude but dependency-free validation of what we just wrote: the
-   header key is present, every config reports zero disagreements, and
-   every wall_seconds value parses as a float. *)
-let validate ~n_configs () =
-  let ic = open_in output_file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let count_substring sub =
-    let m = String.length sub and l = String.length s in
-    let rec go i acc =
-      if i + m > l then acc
-      else if String.sub s i m = sub then go (i + m) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  if count_substring "\"bench\": \"oracle_sweep\"" <> 1 then
-    err "missing bench header";
-  if count_substring "\"disagreements\": 0" <> n_configs then
-    err "expected %d clean configs" n_configs;
-  let wall_key = "\"wall_seconds\": " in
-  let rec walls i acc =
-    match String.index_from_opt s i 'w' with
-    | None -> acc
-    | Some j ->
-        if
-          j >= 1
-          && j + String.length wall_key - 1 <= String.length s
-          && String.sub s (j - 1) (String.length wall_key) = wall_key
-        then begin
-          let k = j - 1 + String.length wall_key in
-          let stop = ref k in
-          while
-            !stop < String.length s
-            && (match s.[!stop] with '0' .. '9' | '.' | '-' | 'e' -> true | _ -> false)
-          do
-            incr stop
-          done;
-          let tok = String.sub s k (!stop - k) in
-          (match float_of_string_opt tok with
-          | Some f when f >= 0.0 -> ()
-          | _ -> err "unparseable wall_seconds %S" tok);
-          walls !stop (acc + 1)
-        end
-        else walls (j + 1) acc
-  in
-  let n_walls = walls 0 0 in
-  if n_walls <> n_configs * 2 then
-    err "expected %d wall_seconds entries, found %d" (n_configs * 2) n_walls;
-  !errors
+let checks =
+  Bench_io.
+    [
+      ( "zero disagreements per config",
+        each (fun r -> Json.int "disagreements" r = 0) );
+      ( "two non-negative wall_seconds per config",
+        each (fun r ->
+            let results = Json.list "results" r in
+            List.length results = 2
+            && List.for_all (fun x -> Json.float "wall_seconds" x >= 0.0) results)
+      );
+    ]
 
 let run ~smoke ?(latency = false) () =
   let configs = if smoke then smoke_configs else full_configs in
@@ -256,7 +185,7 @@ let run ~smoke ?(latency = false) () =
     else begin
       let m = Dct_telemetry.Metrics.create () in
       let t, _ = replay ~probe:(probe_into m) backend trace in
-      (t, Some (json_of_latency m backend))
+      (t, Some (latency_json m))
     end
   in
   let rows =
@@ -280,10 +209,6 @@ let run ~smoke ?(latency = false) () =
           ~disagreements)
       configs
   in
-  write_json ~smoke rows;
-  (match validate ~n_configs:(List.length configs) () with
-  | [] -> Printf.printf "wrote %s (validated)\n" output_file
-  | errs ->
-      List.iter (Printf.eprintf "oracle sweep: %s malformed: %s\n" output_file) errs;
-      incr failures);
-  if !failures > 0 then exit 1
+  Bench_io.emit
+    ~sweep:(if latency then "oracle_latency" else "oracle")
+    ~smoke ~checks ~failures:!failures rows

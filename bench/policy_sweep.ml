@@ -15,9 +15,10 @@
    Per-GC-call latencies are recorded through the telemetry [Probe]
    (op = "gc", backend = the index mode), exactly the instrumentation
    [dct simulate --gc-index ... --metrics] and the [dct trace] gc
-   section use.  Results land in BENCH_policy.json, which is re-read
-   and validated before exiting (the [make bench-policy-smoke] gate);
-   full runs additionally enforce the >= 5x incremental speedup on the
+   section use.  Results land in BENCH_policy.json
+   (BENCH_policy.smoke.json for the [make bench-policy-smoke] gate),
+   re-read and validated by Bench_io before exiting; full runs
+   additionally enforce the >= 5x incremental speedup on the
    n >= 1000 high-pin configurations and zero checked-mode
    divergences everywhere. *)
 
@@ -29,6 +30,7 @@ module Dindex = Dct_deletion.Deletability_index
 module Step = Dct_txn.Step
 module Metrics = Dct_telemetry.Metrics
 module Tracer = Dct_telemetry.Tracer
+module Json = Dct_telemetry.Json
 
 type config = {
   n : int;  (** transactions in the pinned prefix + churn *)
@@ -78,9 +80,8 @@ let run_config c ~metrics index_mode =
       ignore (Rules.apply gs s);
       match s with
       | Step.Write _ ->
-          let t0 = Sys.time () in
-          ignore (Policy.run ?index c.policy gs);
-          gc_wall := !gc_wall +. (Sys.time () -. t0);
+          let dt, _ = Bench_io.time (fun () -> Policy.run ?index c.policy gs) in
+          gc_wall := !gc_wall +. dt;
           incr gc_calls
       | _ -> ())
     (churn_steps c);
@@ -95,41 +96,42 @@ let count_divergences c =
       Printf.eprintf "policy sweep: DIVERGENCE: %s\n" msg;
       1
 
-let json_of_gc_latency m backend =
-  let name = Printf.sprintf "oracle.%s.gc" backend in
-  if Metrics.histo_count m name = 0 then ""
-  else
-    let buckets =
-      Metrics.histo_buckets m name
-      |> List.filter (fun (_, cnt) -> cnt > 0)
-      |> List.map (fun (b, cnt) ->
-             Printf.sprintf "[%s, %d]"
-               (if b = infinity then "\"inf\"" else Printf.sprintf "%.0f" b)
-               cnt)
-    in
-    Printf.sprintf
-      ", \"latency\": {\"count\": %d, \"mean_ns\": %.1f, \"p50_ns\": %.1f, \
-       \"p90_ns\": %.1f, \"p99_ns\": %.1f, \"buckets\": [%s]}"
-      (Metrics.histo_count m name)
-      (Metrics.histo_mean m name)
-      (Metrics.histo_percentile m name 50.0)
-      (Metrics.histo_percentile m name 90.0)
-      (Metrics.histo_percentile m name 99.0)
-      (String.concat ", " buckets)
-
 let json_of_result ~backend ~wall ~calls ~latency =
-  Printf.sprintf
-    "{\"backend\": %S, \"gc_wall_seconds\": %.6f, \"gc_calls\": %d%s}" backend
-    wall calls latency
+  Json.Obj
+    ([
+       ("backend", Json.String backend);
+       ("gc_wall_seconds", Json.Float wall);
+       ("gc_calls", Json.Int calls);
+     ]
+    @ match latency with None -> [] | Some l -> [ ("latency", l) ])
 
+(* An infinite [speedup] (the incremental run too fast for the clock to
+   see) leaves the member out. *)
 let json_of_config c ~results ~speedup ~divergences =
-  Printf.sprintf
-    "    {\"n\": %d, \"pinned_frac\": %.2f, \"churn\": %d, \"policy\": %S, \
-     \"seed\": %d,\n\
-    \     \"results\": [%s], \"speedup\": %.2f, \"divergences\": %d}"
-    c.n c.pinned_frac c.churn (Policy.name c.policy) c.seed
-    (String.concat ", " results)
-    speedup divergences
+  Json.Obj
+    ([
+       ("n", Json.Int c.n);
+       ("pinned_frac", Json.Float c.pinned_frac);
+       ("churn", Json.Int c.churn);
+       ("policy", Json.String (Policy.name c.policy));
+       ("seed", Json.Int c.seed);
+       ("results", Json.List results);
+     ]
+    @ (if Float.is_finite speedup then [ ("speedup", Json.Float speedup) ]
+       else [])
+    @ [ ("divergences", Json.Int divergences) ])
+
+let checks =
+  Bench_io.
+    [
+      ("zero divergences per config", each (fun r -> Json.int "divergences" r = 0));
+      ( "two gc_wall_seconds per config",
+        each (fun r ->
+            let results = Json.list "results" r in
+            List.length results = 2
+            && List.for_all (fun x -> Json.float "gc_wall_seconds" x >= 0.0) results)
+      );
+    ]
 
 let full_configs =
   (* n >= 1000 x high pin = the paper's long-running-reader regime, the
@@ -151,44 +153,6 @@ let smoke_configs =
     { n = 80; pinned_frac = 0.5; churn = 30; policy = Policy.Noncurrent; seed = 11 };
   ]
 
-let output_file = "BENCH_policy.json"
-
-let write_json ~smoke rows =
-  let oc = open_out output_file in
-  Printf.fprintf oc
-    "{\"bench\": \"policy_sweep\", \"version\": 1, \"smoke\": %b,\n\
-    \  \"configs\": [\n%s\n  ]}\n"
-    smoke
-    (String.concat ",\n" rows);
-  close_out oc
-
-(* Dependency-free validation of what we just wrote: header present,
-   every config diverged zero times, every gc_wall_seconds parses as a
-   non-negative float. *)
-let validate ~n_configs () =
-  let ic = open_in output_file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let count_substring sub =
-    let m = String.length sub and l = String.length s in
-    let rec go i acc =
-      if i + m > l then acc
-      else if String.sub s i m = sub then go (i + m) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  if count_substring "\"bench\": \"policy_sweep\"" <> 1 then
-    err "missing bench header";
-  if count_substring "\"divergences\": 0" <> n_configs then
-    err "expected %d divergence-free configs" n_configs;
-  if count_substring "\"gc_wall_seconds\": " <> n_configs * 2 then
-    err "expected %d gc_wall_seconds entries" (n_configs * 2);
-  !errors
-
 let run ~smoke ?(latency = true) () =
   let configs = if smoke then smoke_configs else full_configs in
   Printf.printf "policy sweep (%d configs)%s\n"
@@ -200,14 +164,18 @@ let run ~smoke ?(latency = true) () =
   let timed c mode =
     if not latency then
       let wall, calls, _ = run_config c ~metrics:None mode in
-      (wall, calls, "")
+      (wall, calls, None)
     else begin
       let m = Metrics.create () in
       let wall, calls, _ = run_config c ~metrics:(Some m) mode in
       let backend =
         match mode with None -> "naive" | Some md -> Dindex.mode_name md
       in
-      (wall, calls, json_of_gc_latency m backend)
+      let gc = Printf.sprintf "oracle.%s.gc" backend in
+      ( wall,
+        calls,
+        if Metrics.histo_count m gc = 0 then None
+        else Some (Metrics.histo_json m gc) )
     end
   in
   let rows =
@@ -246,12 +214,4 @@ let run ~smoke ?(latency = true) () =
           ~speedup ~divergences)
       configs
   in
-  write_json ~smoke rows;
-  (match validate ~n_configs:(List.length configs) () with
-  | [] -> Printf.printf "wrote %s (validated)\n" output_file
-  | errs ->
-      List.iter
-        (Printf.eprintf "policy sweep: %s malformed: %s\n" output_file)
-        errs;
-      incr failures);
-  if !failures > 0 then exit 1
+  Bench_io.emit ~sweep:"policy" ~smoke ~checks ~failures:!failures rows

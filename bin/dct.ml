@@ -34,6 +34,17 @@ module Gs = Dct_deletion.Graph_state
 module Policy = Dct_deletion.Policy
 module Si = Dct_sched.Scheduler_intf
 module Gen = Dct_workload.Generator
+module Json = Dct_telemetry.Json
+
+(* The --json reports: one compact object per run.  [metrics] is the
+   registry when --metrics is on. *)
+let print_json ?metrics fields =
+  let metrics =
+    match metrics with
+    | Some m -> [ ("metrics", Dct_telemetry.Metrics.to_json m) ]
+    | None -> []
+  in
+  print_endline (Json.to_string (Json.Obj (fields @ metrics)))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -233,37 +244,26 @@ let simulate model policy txns entities mpl skew seed long_readers
     (* One JSON object of final statistics; the per-outcome keys reuse
        the [pp_outcome] spellings so they match Decision events and the
        ["outcome.<o>"] counters. *)
-    let b = Buffer.create 256 in
-    let first = ref true in
-    let field k v =
-      Buffer.add_string b (if !first then "{" else ",");
-      first := false;
-      Buffer.add_string b (Printf.sprintf "%S:%s" k v)
-    in
-    let str k v = field k (Printf.sprintf "%S" v) in
-    let int_f k v = field k (string_of_int v) in
-    let float_f k v = field k (Printf.sprintf "%.6g" v) in
-    str "scheduler" r.Dct_sim.Driver.name;
-    str "model" model;
-    if model = "basic" then str "policy" (Policy.name policy);
-    int_f "steps" r.Dct_sim.Driver.steps;
-    int_f (Si.outcome_name Si.Accepted) r.Dct_sim.Driver.accepted;
-    int_f (Si.outcome_name Si.Rejected) r.Dct_sim.Driver.rejected;
-    int_f (Si.outcome_name Si.Delayed) r.Dct_sim.Driver.delayed;
-    int_f (Si.outcome_name Si.Ignored) r.Dct_sim.Driver.ignored;
-    int_f "committed" r.Dct_sim.Driver.final.Si.committed_total;
-    int_f "aborted" r.Dct_sim.Driver.final.Si.aborted_total;
-    int_f "deleted" r.Dct_sim.Driver.final.Si.deleted_total;
-    int_f "peak_resident" r.Dct_sim.Driver.peak_resident;
-    int_f "peak_arcs" r.Dct_sim.Driver.peak_arcs;
-    float_f "mean_resident" r.Dct_sim.Driver.mean_resident;
-    int_f "final_resident" r.Dct_sim.Driver.final.Si.resident_txns;
-    float_f "wall_ms" (r.Dct_sim.Driver.wall_seconds *. 1000.0);
-    Option.iter
-      (fun m -> field "metrics" (Dct_telemetry.Metrics.to_json m))
-      registry;
-    Buffer.add_char b '}';
-    print_endline (Buffer.contents b)
+    let module D = Dct_sim.Driver in
+    print_json ?metrics:registry
+      ([ ("scheduler", Json.String r.D.name); ("model", Json.String model) ]
+      @ (if model = "basic" then [ ("policy", Json.String (Policy.name policy)) ]
+         else [])
+      @ [
+          ("steps", Json.Int r.D.steps);
+          (Si.outcome_name Si.Accepted, Json.Int r.D.accepted);
+          (Si.outcome_name Si.Rejected, Json.Int r.D.rejected);
+          (Si.outcome_name Si.Delayed, Json.Int r.D.delayed);
+          (Si.outcome_name Si.Ignored, Json.Int r.D.ignored);
+          ("committed", Json.Int r.D.final.Si.committed_total);
+          ("aborted", Json.Int r.D.final.Si.aborted_total);
+          ("deleted", Json.Int r.D.final.Si.deleted_total);
+          ("peak_resident", Json.Int r.D.peak_resident);
+          ("peak_arcs", Json.Int r.D.peak_arcs);
+          ("mean_resident", Json.Float r.D.mean_resident);
+          ("final_resident", Json.Int r.D.final.Si.resident_txns);
+          ("wall_ms", Json.Float (r.D.wall_seconds *. 1000.0));
+        ])
   end
   else begin
     Printf.printf "workload: %s\n"
@@ -531,61 +531,54 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     else 0.0
   in
   if json then begin
-    let b = Buffer.create 512 in
-    let first = ref true in
-    let field k v =
-      Buffer.add_string b (if !first then "{" else ",");
-      first := false;
-      Buffer.add_string b (Printf.sprintf "%S:%s" k v)
+    let shard i (s : Dct_engine.Shard.stats) =
+      Json.Obj
+        [
+          ("shard", Json.Int i);
+          ("hosted", Json.Int s.hosted_total);
+          ("resident", Json.Int s.resident_txns);
+          ("resident_hwm", Json.Int s.resident_hwm);
+          ("committed", Json.Int s.committed);
+          ("aborted", Json.Int s.aborted);
+          ("deleted_local", Json.Int s.deleted_local);
+          ("deleted_forced", Json.Int s.deleted_forced);
+          ("wal_retained", Json.Int s.wal_retained);
+          ("wal_truncated", Json.Int s.wal_truncated);
+        ]
     in
-    let str k v = field k (Printf.sprintf "%S" v) in
-    let int_f k v = field k (string_of_int v) in
-    let float_f k v = field k (Printf.sprintf "%.6g" v) in
-    str "engine" r.Eng.name;
-    int_f "shards" r.Eng.shards;
-    int_f "batch" r.Eng.batch;
-    int_f "domains" r.Eng.domains;
-    str "mode" r.Eng.executor;
-    int_f "barriers" r.Eng.barriers;
-    field "lockstep" (string_of_bool r.Eng.lockstep);
-    str "policy" (Policy.name policy);
-    int_f "steps" r.Eng.steps;
-    int_f (Si.outcome_name Si.Accepted) r.Eng.accepted;
-    int_f (Si.outcome_name Si.Rejected) r.Eng.rejected;
-    int_f (Si.outcome_name Si.Ignored) r.Eng.ignored;
-    int_f "committed" r.Eng.committed;
-    int_f "aborted" r.Eng.aborted;
-    int_f "full_batches" r.Eng.full_batches;
-    int_f "ticks" r.Eng.ticks;
-    int_f "coordinator_resident" c.Dct_engine.Coordinator.resident_txns;
-    int_f "coordinator_hwm" c.Dct_engine.Coordinator.resident_hwm;
-    int_f "deleted" c.Dct_engine.Coordinator.deleted_total;
-    int_f "shard_resident_hwm" r.Eng.shard_resident_hwm;
-    int_f "cross_shard_arcs" r.Eng.cross_shard_arcs;
-    int_f "local_arcs" r.Eng.local_arcs;
-    int_f "distributed_txns" r.Eng.distributed_txns;
-    float_f "throughput_steps_per_s" throughput;
-    float_f "wall_ms" (r.Eng.wall_seconds *. 1000.0);
-    field "shard_stats"
-      (Printf.sprintf "[%s]"
-         (String.concat ","
-            (Array.to_list
-               (Array.mapi
-                  (fun i (s : Dct_engine.Shard.stats) ->
-                    Printf.sprintf
-                      "{\"shard\":%d,\"hosted\":%d,\"resident\":%d,\
-                       \"resident_hwm\":%d,\"committed\":%d,\"aborted\":%d,\
-                       \"deleted_local\":%d,\"deleted_forced\":%d,\
-                       \"wal_retained\":%d,\"wal_truncated\":%d}"
-                      i s.hosted_total s.resident_txns s.resident_hwm
-                      s.committed s.aborted s.deleted_local s.deleted_forced
-                      s.wal_retained s.wal_truncated)
-                  r.Eng.shard_stats))));
-    Option.iter
-      (fun m -> field "metrics" (Dct_telemetry.Metrics.to_json m))
-      registry;
-    Buffer.add_char b '}';
-    print_endline (Buffer.contents b)
+    (* perfbench reads committed, full_batches and ticks out of this
+       line by substring, first match winning: they must stay ahead of
+       shard_stats and metrics *)
+    print_json ?metrics:registry
+      [
+        ("engine", Json.String r.Eng.name);
+        ("shards", Json.Int r.Eng.shards);
+        ("batch", Json.Int r.Eng.batch);
+        ("domains", Json.Int r.Eng.domains);
+        ("mode", Json.String r.Eng.executor);
+        ("barriers", Json.Int r.Eng.barriers);
+        ("lockstep", Json.Bool r.Eng.lockstep);
+        ("policy", Json.String (Policy.name policy));
+        ("steps", Json.Int r.Eng.steps);
+        (Si.outcome_name Si.Accepted, Json.Int r.Eng.accepted);
+        (Si.outcome_name Si.Rejected, Json.Int r.Eng.rejected);
+        (Si.outcome_name Si.Ignored, Json.Int r.Eng.ignored);
+        ("committed", Json.Int r.Eng.committed);
+        ("aborted", Json.Int r.Eng.aborted);
+        ("full_batches", Json.Int r.Eng.full_batches);
+        ("ticks", Json.Int r.Eng.ticks);
+        ("coordinator_resident", Json.Int c.Dct_engine.Coordinator.resident_txns);
+        ("coordinator_hwm", Json.Int c.Dct_engine.Coordinator.resident_hwm);
+        ("deleted", Json.Int c.Dct_engine.Coordinator.deleted_total);
+        ("shard_resident_hwm", Json.Int r.Eng.shard_resident_hwm);
+        ("cross_shard_arcs", Json.Int r.Eng.cross_shard_arcs);
+        ("local_arcs", Json.Int r.Eng.local_arcs);
+        ("distributed_txns", Json.Int r.Eng.distributed_txns);
+        ("throughput_steps_per_s", Json.Float throughput);
+        ("wall_ms", Json.Float (r.Eng.wall_seconds *. 1000.0));
+        ( "shard_stats",
+          Json.List (Array.to_list (Array.mapi shard r.Eng.shard_stats)) );
+      ]
   end
   else begin
     Printf.printf "workload: %s\n" (Format.asprintf "%a" Gen.pp_profile profile);
@@ -900,7 +893,6 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
   let module Eng = Dct_engine.Engine in
   let module Net = Dct_net in
   let module Mix = Dct_workload.Mix in
-  let module Metrics = Dct_telemetry.Metrics in
   let mix =
     match Mix.of_string mix_spec with
     | Ok m -> m
@@ -909,61 +901,37 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
         exit 2
   in
   let executor = pick_executor ~cmd:"bench-net" ~domains ~replay in
-  let cfg = Eng.config ~policy ?gc_index ~executor ~shards ~batch () in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dct-bench-%d.sock" (Unix.getpid ()))
-  in
-  let srv =
-    Net.Server.create ~flush_ms ~engine:(Eng.create cfg) (Net.Addr.Unix_path sock)
-  in
-  Net.Server.start srv;
   let dialect = if dialect_line then Net.Wire.Line else Net.Wire.Binary in
-  let dcfg =
-    { Net.Driver.clients; txns_per_client; mix; keys; seed; dialect }
-  in
-  let dres = Net.Driver.run dcfg (Net.Server.addr srv) in
-  Net.Server.stop srv;
-  let report =
-    try Net.Server.finish srv ~wall_seconds:dres.Net.Driver.wall_seconds
+  let lb =
+    try
+      Net.Driver.loopback ?gc_index ~executor ~policy ~shards ~batch ~flush_ms
+        { Net.Driver.clients; txns_per_client; mix; keys; seed; dialect }
     with Eng.Shard_failure (shard, msg) ->
       Printf.eprintf "dct: bench-net: shard %d domain failed: %s\n" shard msg;
       exit 1
   in
-  let m = dres.Net.Driver.metrics in
-  let pct name p = Metrics.histo_percentile m ("net.latency." ^ name) p in
-  if json then begin
-    let b = Buffer.create 512 in
-    let first = ref true in
-    let field k v =
-      Buffer.add_string b (if !first then "{" else ",");
-      first := false;
-      Buffer.add_string b (Printf.sprintf "%S:%s" k v)
-    in
-    let str k v = field k (Printf.sprintf "%S" v) in
-    let int_f k v = field k (string_of_int v) in
-    let float_f k v = field k (Printf.sprintf "%.6g" v) in
-    str "mix" (Mix.name mix);
-    str "backend" report.Eng.executor;
-    int_f "shards" shards;
-    int_f "batch" batch;
-    int_f "clients" clients;
-    int_f "txns" dres.Net.Driver.txns;
-    int_f "completed" dres.Net.Driver.completed;
-    int_f "aborted" dres.Net.Driver.aborted;
-    int_f "ops" dres.Net.Driver.ops;
-    float_f "wall_s" dres.Net.Driver.wall_seconds;
-    float_f "throughput_ops_per_s" dres.Net.Driver.throughput;
-    float_f "p50_us" (pct "all" 50. /. 1e3);
-    float_f "p90_us" (pct "all" 90. /. 1e3);
-    float_f "p99_us" (pct "all" 99. /. 1e3);
-    int_f "coordinator_hwm"
-      report.Eng.coordinator.Dct_engine.Coordinator.resident_hwm;
-    int_f "shard_resident_hwm" report.Eng.shard_resident_hwm;
-    Buffer.add_char b '}';
-    print_endline (Buffer.contents b)
-  end
+  let dres = lb.Net.Driver.driver and report = lb.Net.Driver.report in
+  if json then
+    print_json
+      [
+        ("mix", Json.String (Mix.name mix));
+        ("backend", Json.String report.Eng.executor);
+        ("shards", Json.Int shards);
+        ("batch", Json.Int batch);
+        ("clients", Json.Int clients);
+        ("txns", Json.Int dres.Net.Driver.txns);
+        ("completed", Json.Int dres.Net.Driver.completed);
+        ("aborted", Json.Int dres.Net.Driver.aborted);
+        ("ops", Json.Int dres.Net.Driver.ops);
+        ("wall_s", Json.Float dres.Net.Driver.wall_seconds);
+        ("throughput_ops_per_s", Json.Float dres.Net.Driver.throughput);
+        ("p50_us", Json.Float lb.Net.Driver.p50_us);
+        ("p90_us", Json.Float lb.Net.Driver.p90_us);
+        ("p99_us", Json.Float lb.Net.Driver.p99_us);
+        ( "coordinator_hwm",
+          Json.Int report.Eng.coordinator.Dct_engine.Coordinator.resident_hwm );
+        ("shard_resident_hwm", Json.Int report.Eng.shard_resident_hwm);
+      ]
   else begin
     Printf.printf "mix: %s — %s\n" (Mix.name mix) (Mix.description mix);
     Dct_sim.Report.print_table
@@ -977,9 +945,9 @@ let bench_net mix_spec clients txns_per_client keys shards batch policy
         [ "ops"; string_of_int dres.Net.Driver.ops ];
         [ "throughput (ops/s)";
           Dct_sim.Report.fmt_float dres.Net.Driver.throughput ];
-        [ "p50 (us)"; Dct_sim.Report.fmt_float (pct "all" 50. /. 1e3) ];
-        [ "p90 (us)"; Dct_sim.Report.fmt_float (pct "all" 90. /. 1e3) ];
-        [ "p99 (us)"; Dct_sim.Report.fmt_float (pct "all" 99. /. 1e3) ];
+        [ "p50 (us)"; Dct_sim.Report.fmt_float lb.Net.Driver.p50_us ];
+        [ "p90 (us)"; Dct_sim.Report.fmt_float lb.Net.Driver.p90_us ];
+        [ "p99 (us)"; Dct_sim.Report.fmt_float lb.Net.Driver.p99_us ];
         [ "coordinator hwm";
           string_of_int
             report.Eng.coordinator.Dct_engine.Coordinator.resident_hwm ];
@@ -1602,15 +1570,9 @@ let check_history path level oracle checked json metrics_on =
       2
   | Ok (report, stats) ->
       if json then begin
-        let j = C.to_json ~stats report in
-        let j =
-          match registry with
-          | Some m ->
-              String.sub j 0 (String.length j - 1)
-              ^ ",\"metrics\":" ^ Dct_telemetry.Metrics.to_json m ^ "}"
-          | None -> j
-        in
-        print_endline j
+        match C.to_json ~stats report with
+        | Json.Obj fields -> print_json ?metrics:registry fields
+        | j -> print_endline (Json.to_string j)
       end
       else begin
         let module H = Dct_check.History in

@@ -285,35 +285,43 @@ let render ?txn_name ?entity_name r =
   Buffer.contents b
 
 let to_json ?stats r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"level\":\"%s\",\"ops\":%d,\"txns\":%d,\"commits\":%d,\"aborts\":%d,\
-        \"live_at_end\":%d,\"max_live\":%d,\"max_resident\":%d,\
-        \"violations\":%d,\"truncated\":%b,\"checked_ops\":%d"
-       (V.level_name r.level) r.ops r.txns r.commits r.aborts r.live_at_end
-       r.max_live r.max_resident r.total r.truncated r.checked_ops);
-  (match r.divergence with
-  | None -> ()
-  | Some d -> Buffer.add_string b (Printf.sprintf ",\"divergence\":%S" d));
-  (match stats with
-  | None -> ()
-  | Some (s : H.file_stats) ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"format\":\"%s\",\"lines\":%d,\"bad_lines\":%d"
-           (H.format_name s.H.fmt) s.H.lines s.H.bad_lines);
-      match s.H.adapter with
-      | None -> ()
-      | Some a ->
-          Buffer.add_string b
-            (Printf.sprintf
-               ",\"events\":%d,\"steps\":%d,\"foreign\":%d,\"deferred\":%d,\"undecided\":%d"
-               a.H.events a.H.steps a.H.foreign a.H.deferred a.H.undecided));
-  Buffer.add_string b ",\"witnesses\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (V.to_json v))
-    r.violations;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Dct_telemetry.Json in
+  let ints = List.map (fun (k, v) -> (k, J.Int v)) in
+  J.Obj
+    ([ ("level", J.String (V.level_name r.level)) ]
+    @ ints
+        [
+          ("ops", r.ops);
+          ("txns", r.txns);
+          ("commits", r.commits);
+          ("aborts", r.aborts);
+          ("live_at_end", r.live_at_end);
+          ("max_live", r.max_live);
+          ("max_resident", r.max_resident);
+          ("violations", r.total);
+        ]
+    @ [ ("truncated", J.Bool r.truncated); ("checked_ops", J.Int r.checked_ops) ]
+    @ (match r.divergence with
+      | None -> []
+      | Some d -> [ ("divergence", J.String d) ])
+    @ (match stats with
+      | None -> []
+      | Some (s : H.file_stats) -> (
+          [
+            ("format", J.String (H.format_name s.H.fmt));
+            ("lines", J.Int s.H.lines);
+            ("bad_lines", J.Int s.H.bad_lines);
+          ]
+          @
+          match s.H.adapter with
+          | None -> []
+          | Some a ->
+              ints
+                [
+                  ("events", a.H.events);
+                  ("steps", a.H.steps);
+                  ("foreign", a.H.foreign);
+                  ("deferred", a.H.deferred);
+                  ("undecided", a.H.undecided);
+                ]))
+    @ [ ("witnesses", J.List (List.map V.to_json r.violations)) ])

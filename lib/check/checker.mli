@@ -118,6 +118,6 @@ val render :
 (** Human-readable: one summary line, then the witnesses (via
     {!Violation.render}), then the checked-mode line when it ran. *)
 
-val to_json : ?stats:History.file_stats -> report -> string
+val to_json : ?stats:History.file_stats -> report -> Dct_telemetry.Json.t
 (** One JSON object: summary fields, the violations array, and the
     file/adapter statistics when provided. *)

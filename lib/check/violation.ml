@@ -95,37 +95,16 @@ let render ?txn_name ?entity_name vs =
        (fun v -> Format.asprintf "@[<v>%a@]@." (pp ?txn_name ?entity_name) v)
        vs)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json v =
-  let ints xs = "[" ^ String.concat "," (List.map string_of_int xs) ^ "]" in
-  let ops =
-    "["
-    ^ String.concat ","
-        (List.map
-           (fun o ->
-             Printf.sprintf "{\"at\":%d,\"line\":%d,\"what\":\"%s\"}" o.at
-               o.line (json_escape o.what))
-           v.ops)
-    ^ "]"
+  let module J = Dct_telemetry.Json in
+  let op o =
+    J.Obj [ ("at", J.Int o.at); ("line", J.Int o.line); ("what", J.String o.what) ]
   in
-  Printf.sprintf
-    "{\"level\":\"%s\",\"kind\":\"%s\",\"txns\":%s,%s\"ops\":%s,\"message\":\"%s\"}"
-    (level_name v.level) (kind_name v.kind) (ints v.txns)
-    (match v.entity with
-    | Some x -> Printf.sprintf "\"entity\":%d," x
-    | None -> "")
-    ops
-    (json_escape v.message)
+  J.Obj
+    ([
+       ("level", J.String (level_name v.level));
+       ("kind", J.String (kind_name v.kind));
+       ("txns", J.List (List.map (fun t -> J.Int t) v.txns));
+     ]
+    @ (match v.entity with Some x -> [ ("entity", J.Int x) ] | None -> [])
+    @ [ ("ops", J.List (List.map op v.ops)); ("message", J.String v.message) ])

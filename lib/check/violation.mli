@@ -72,5 +72,5 @@ val pp :
 val render :
   ?txn_name:(int -> string) -> ?entity_name:(int -> string) -> t list -> string
 
-val to_json : t -> string
-(** One flat JSON object, machine-stable field order. *)
+val to_json : t -> Dct_telemetry.Json.t
+(** One JSON object, machine-stable field order. *)

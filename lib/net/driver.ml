@@ -116,3 +116,32 @@ let run cfg addr =
       (if wall_seconds > 0. then float_of_int ops /. wall_seconds else 0.);
     metrics;
   }
+
+type loopback = {
+  driver : result;
+  report : Dct_engine.Engine.report;
+  p50_us : float;
+  p90_us : float;
+  p99_us : float;
+}
+
+let loopback ?gc_index ?executor ~policy ~shards ~batch ~flush_ms cfg =
+  let module Eng = Dct_engine.Engine in
+  let engine =
+    Eng.create (Eng.config ~policy ?gc_index ?executor ~shards ~batch ())
+  in
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dct-loopback-%d.sock" (Unix.getpid ()))
+  in
+  let srv = Server.create ~flush_ms ~engine (Addr.Unix_path sock) in
+  Server.start srv;
+  let driver =
+    Fun.protect
+      ~finally:(fun () -> Server.stop srv)
+      (fun () -> run cfg (Server.addr srv))
+  in
+  let report = Server.finish srv ~wall_seconds:driver.wall_seconds in
+  let pct p = Metrics.histo_percentile driver.metrics "net.latency.all" p /. 1e3 in
+  { driver; report; p50_us = pct 50.; p90_us = pct 90.; p99_us = pct 99. }

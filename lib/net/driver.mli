@@ -32,3 +32,26 @@ type result = {
 
 val run : cfg -> Addr.t -> result
 (** Blocks until every client has finished. *)
+
+type loopback = {
+  driver : result;
+  report : Dct_engine.Engine.report;
+  p50_us : float;  (** ["net.latency.all"] percentiles, microseconds *)
+  p90_us : float;
+  p99_us : float;
+}
+
+val loopback :
+  ?gc_index:Dct_deletion.Deletability_index.mode ->
+  ?executor:Dct_engine.Engine.executor ->
+  policy:Dct_deletion.Policy.t ->
+  shards:int ->
+  batch:int ->
+  flush_ms:int ->
+  cfg ->
+  loopback
+(** One loopback run: build the engine ({!Dct_engine.Engine.config}'s
+    defaults for what is not given), serve it on a temporary Unix
+    socket with the given group-commit [flush_ms], {!run} the clients
+    against it, then stop and finish the server.
+    @raise Dct_engine.Engine.Shard_failure if a shard applier died. *)

@@ -27,21 +27,7 @@ let equal (a : t) (b : t) = a = b
 
 (* --- encoding ----------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Json.escape
 
 let ints xs = "[" ^ String.concat "," (List.map string_of_int xs) ^ "]"
 
@@ -83,232 +69,64 @@ let to_json = function
 
 (* --- decoding ----------------------------------------------------- *)
 
-(* A hand-rolled parser for exactly the flat objects [to_json] emits:
-   string, integer, float and integer-list values.  No dependency on a
-   JSON library (none is vendored); anything outside that grammar is an
-   error, which for a trace file is the right strictness. *)
-
-type field = Fint of int | Ffloat of float | Fstr of string | Fints of int list
-
-exception Bad of string
-
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> bad "expected %c, found %c at %d" c c' !pos
-    | None -> bad "expected %c, found end of line" c
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> bad "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then bad "truncated \\u escape";
-              let hex = String.sub line !pos 4 in
-              pos := !pos + 4;
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some c when c < 0x80 -> Buffer.add_char buf (Char.chr c)
-              | _ -> bad "unsupported \\u escape %S" hex);
-              go ()
-          | _ -> bad "bad escape")
-      | Some c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && (match line.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      advance ()
-    done;
-    let tok = String.sub line start (!pos - start) in
-    match int_of_string_opt tok with
-    | Some i -> Fint i
-    | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Ffloat f
-        | None -> bad "bad number %S" tok)
-  in
-  let parse_int_list () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then begin advance (); [] end
-    else begin
-      let out = ref [] in
-      let rec go () =
-        skip_ws ();
-        (match parse_number () with
-        | Fint i -> out := i :: !out
-        | Ffloat _ -> bad "float in integer list"
-        | _ -> assert false);
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); go ()
-        | Some ']' -> advance ()
-        | _ -> bad "expected , or ] in list"
-      in
-      go ();
-      List.rev !out
-    end
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Fstr (parse_string ())
-    | Some '[' -> Fints (parse_int_list ())
-    | Some _ -> parse_number ()
-    | None -> bad "expected a value"
-  in
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  if peek () = Some '}' then advance ()
-  else begin
-    let rec go () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      let v = parse_value () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' -> advance (); go ()
-      | Some '}' -> advance ()
-      | _ -> bad "expected , or }"
-    in
-    go ()
-  end;
-  skip_ws ();
-  if !pos <> n then bad "trailing garbage at %d" !pos;
-  List.rev !fields
-
-let geti fields key =
-  match List.assoc_opt key fields with
-  | Some (Fint i) -> i
-  | Some _ -> raise (Bad (Printf.sprintf "field %S is not an integer" key))
-  | None -> raise (Bad (Printf.sprintf "missing field %S" key))
-
-let geti_default d fields key =
-  match List.assoc_opt key fields with
-  | Some (Fint i) -> i
-  | Some _ -> raise (Bad (Printf.sprintf "field %S is not an integer" key))
-  | None -> d
-
-let getf fields key =
-  match List.assoc_opt key fields with
-  | Some (Ffloat f) -> f
-  | Some (Fint i) -> float_of_int i
-  | Some _ -> raise (Bad (Printf.sprintf "field %S is not a number" key))
-  | None -> raise (Bad (Printf.sprintf "missing field %S" key))
-
-let gets fields key =
-  match List.assoc_opt key fields with
-  | Some (Fstr s) -> s
-  | Some _ -> raise (Bad (Printf.sprintf "field %S is not a string" key))
-  | None -> raise (Bad (Printf.sprintf "missing field %S" key))
-
-let getl fields key =
-  match List.assoc_opt key fields with
-  | Some (Fints l) -> l
-  | Some _ -> raise (Bad (Printf.sprintf "field %S is not an int list" key))
-  | None -> raise (Bad (Printf.sprintf "missing field %S" key))
-
 let of_json line =
   match
-    let fields = parse_fields line in
-    match gets fields "ev" with
+    let o = Json.of_string line in
+    let int k = Json.int k o and str k = Json.string k o and ints k = Json.ints k o in
+    match str "ev" with
     | "step" ->
         Step_submitted
           {
-            index = geti fields "i";
+            index = int "i";
             step =
               {
-                kind = gets fields "kind";
-                txn = geti fields "txn";
-                reads = getl fields "reads";
-                writes = getl fields "writes";
+                kind = str "kind";
+                txn = int "txn";
+                reads = ints "reads";
+                writes = ints "writes";
               };
           }
     | "decision" ->
         Decision
           {
-            index = geti fields "i";
-            txn = geti fields "txn";
-            outcome = gets fields "outcome";
-            reason = gets fields "reason";
+            index = int "i";
+            txn = int "txn";
+            outcome = str "outcome";
+            reason = str "reason";
           }
     | "del_attempt" ->
-        Deletion_attempted
-          { policy = gets fields "policy"; candidates = getl fields "candidates" }
-    | "del_ok" ->
-        Deletion_ok
-          { policy = gets fields "policy"; deleted = getl fields "deleted" }
+        Deletion_attempted { policy = str "policy"; candidates = ints "candidates" }
+    | "del_ok" -> Deletion_ok { policy = str "policy"; deleted = ints "deleted" }
     | "del_blocked" ->
         Deletion_blocked
-          {
-            policy = gets fields "policy";
-            txn = geti fields "txn";
-            condition = gets fields "condition";
-          }
+          { policy = str "policy"; txn = int "txn"; condition = str "condition" }
     | "oracle" ->
         Oracle_query
-          {
-            op = gets fields "op";
-            backend = gets fields "backend";
-            ns = getf fields "ns";
-          }
+          { op = str "op"; backend = str "backend"; ns = Json.float "ns" o }
     | "cycle_rejected" ->
-        Cycle_rejected { txn = geti fields "txn"; witness = getl fields "witness" }
-    | "restart" ->
-        Restart { txn = geti fields "txn"; attempt = geti fields "attempt" }
+        Cycle_rejected { txn = int "txn"; witness = ints "witness" }
+    | "restart" -> Restart { txn = int "txn"; attempt = int "attempt" }
     | "checkpoint" ->
         Checkpoint_stats
           {
-            at_step = geti fields "i";
-            resident_txns = geti fields "resident_txns";
-            resident_arcs = geti fields "resident_arcs";
-            active_txns = geti fields "active_txns";
-            committed = geti fields "committed";
-            aborted = geti fields "aborted";
-            deleted = geti fields "deleted";
-            delayed = geti fields "delayed";
+            at_step = int "i";
+            resident_txns = int "resident_txns";
+            resident_arcs = int "resident_arcs";
+            active_txns = int "active_txns";
+            committed = int "committed";
+            aborted = int "aborted";
+            deleted = int "deleted";
+            delayed = int "delayed";
             (* absent in pre-gauge traces: decode as 0 so the pinned
                corpus keeps parsing *)
-            resident_bytes = geti_default 0 fields "resident_bytes";
+            resident_bytes =
+              (if Json.find "resident_bytes" o = None then 0
+               else int "resident_bytes");
           }
-    | other -> raise (Bad (Printf.sprintf "unknown event kind %S" other))
+    | other -> raise (Json.Bad (Printf.sprintf "unknown event kind %S" other))
   with
   | ev -> Ok ev
-  | exception Bad m -> Error m
+  | exception Json.Bad m -> Error m
 
 let kind = function
   | Step_submitted _ -> "step"

@@ -70,5 +70,9 @@ val to_json : t -> string
 (** One line, no trailing newline. *)
 
 val of_json : string -> (t, string) result
+(** Parses one line with {!Json.of_string}.  Members the event does not
+    use may hold any JSON value; a missing member, a member of the
+    wrong type (a float in an int list included) or an unknown ["ev"]
+    is an error. *)
 
 val pp : Format.formatter -> t -> unit

@@ -191,25 +191,41 @@ let render t =
   end;
   Buffer.contents buf
 
+(* The one histogram encoding: count, mean, the reported percentiles
+   and the non-empty buckets as [upper bound, count] pairs, the overflow
+   bucket's bound spelled "inf". *)
+let histo_json t name =
+  let pct p = Json.Float (histo_percentile t name p) in
+  Json.Obj
+    [
+      ("n", Json.Int (histo_count t name));
+      ("mean_ns", Json.Float (histo_mean t name));
+      ("p50_ns", pct 50.0);
+      ("p90_ns", pct 90.0);
+      ("p99_ns", pct 99.0);
+      ( "buckets",
+        Json.List
+          (List.filter_map
+             (fun (b, c) ->
+               if c = 0 then None
+               else
+                 let b =
+                   if b = infinity then Json.String "inf"
+                   else Json.Int (int_of_float b)
+                 in
+                 Some (Json.List [ b; Json.Int c ]))
+             (histo_buckets t name)) );
+    ]
+
 let to_json t =
-  let counters =
-    List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) (counters t)
-  in
-  let gauges =
-    List.map
-      (fun (k, v, hwm) -> Printf.sprintf "%S:{\"value\":%d,\"hwm\":%d}" k v hwm)
-      (gauges t)
-  in
-  let histos =
-    List.map
-      (fun k ->
-        Printf.sprintf "%S:{\"n\":%d,\"mean_ns\":%.3f,\"p50_ns\":%.1f,\"p99_ns\":%.1f}"
-          k (histo_count t k) (histo_mean t k)
-          (histo_percentile t k 50.0)
-          (histo_percentile t k 99.0))
-      (histos t)
-  in
-  Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}"
-    (String.concat "," counters)
-    (String.concat "," gauges)
-    (String.concat "," histos)
+  Json.Obj
+    [
+      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
+      ( "gauges",
+        Json.Obj
+          (List.map
+             (fun (k, v, hwm) ->
+               (k, Json.Obj [ ("value", Json.Int v); ("hwm", Json.Int hwm) ]))
+             (gauges t)) );
+      ("histograms", Json.Obj (List.map (fun k -> (k, histo_json t k)) (histos t)));
+    ]

@@ -77,4 +77,12 @@ val histos : t -> string list
 val render : t -> string
 (** Human-readable multi-line summary. *)
 
-val to_json : t -> string
+val histo_json : t -> string -> Json.t
+(** One histogram: [n], [mean_ns], [p50_ns]/[p90_ns]/[p99_ns] and the
+    non-empty [buckets] as [[upper_bound, count]] pairs, the overflow
+    bucket's bound written ["inf"]. *)
+
+val to_json : t -> Json.t
+(** One object with members [counters] (name to count), [gauges] (name
+    to [{"value","hwm"}]) and [histograms] (name to {!histo_json}), each
+    sorted by name. *)
