@@ -4,10 +4,11 @@
 
 all: build
 
-# The default gate: full build, full test suite, and the smoke sweeps
-# that double as end-to-end differential checks (oracle backends,
-# sharded engine and its executors, deletability index, history checker).
-check: build test bench-smoke bench-engine-smoke parallel-test bench-engine-par-smoke bench-policy-smoke check-hist bench-check-smoke net-test bench-net-smoke graph-test bench-graph-smoke
+# The default gate: full build, full test suite, the trace round trips,
+# and the smoke sweeps that double as end-to-end differential checks
+# (oracle backends, sharded engine and its executors, deletability
+# index, history checker).
+check: build test trace-smoke bench-smoke bench-engine-smoke parallel-test bench-engine-par-smoke bench-policy-smoke check-hist bench-check-smoke net-test bench-net-smoke graph-test bench-graph-smoke
 
 build:
 	dune build
@@ -66,12 +67,27 @@ net-test:
 graph-test:
 	dune build @graph
 
-# End-to-end trace round trip: simulate with tracing on, summarize the
-# JSONL, re-feed the decisions to the deletion auditor.
+# End-to-end trace round trips: run with tracing on and summarize the
+# JSONL.  The conflict-model and engine traces are also re-fed to the
+# deletion auditor; the multiwrite and predeclared summaries must carry
+# their c3-exact and c4 deletion rows (the shared GC round's emitter).
 trace-smoke:
 	dune exec bin/dct.exe -- simulate --model conflict --policy c2 -n 80 \
 	  --oracle checked --trace /tmp/dct-trace-smoke.jsonl --metrics
 	dune exec bin/dct.exe -- trace /tmp/dct-trace-smoke.jsonl --audit
+	dune exec bin/dct.exe -- simulate --model multiwrite -n 80 \
+	  --trace /tmp/dct-trace-smoke-mw.jsonl --metrics
+	dune exec bin/dct.exe -- trace --strict /tmp/dct-trace-smoke-mw.jsonl \
+	  > /tmp/dct-trace-smoke-mw.txt
+	grep -q '^c3-exact ' /tmp/dct-trace-smoke-mw.txt
+	dune exec bin/dct.exe -- simulate --model predeclared -n 80 \
+	  --trace /tmp/dct-trace-smoke-pd.jsonl --metrics
+	dune exec bin/dct.exe -- trace --strict /tmp/dct-trace-smoke-pd.jsonl \
+	  > /tmp/dct-trace-smoke-pd.txt
+	grep -q '^c4 ' /tmp/dct-trace-smoke-pd.txt
+	dune exec bin/dct.exe -- serve --shards 2 --replay 3 -n 80 \
+	  --trace /tmp/dct-trace-smoke-serve.jsonl --metrics
+	dune exec bin/dct.exe -- trace /tmp/dct-trace-smoke-serve.jsonl --audit
 
 # The full oracle sweep (writes BENCH_oracle.json; minutes).
 bench:

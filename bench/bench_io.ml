@@ -17,15 +17,15 @@
    the parsed rows. *)
 
 module Json = Dct_telemetry.Json
+module Probe = Dct_telemetry.Probe
 
-let clock = "clock_gettime(CLOCK_MONOTONIC) via bechamel.monotonic_clock"
 let host_cores = Domain.recommended_domain_count ()
 
-(* Seconds taken by [f ()], on [clock]. *)
+(* Seconds taken by [f ()], on [Probe.now_ns]'s clock. *)
 let time f =
-  let t0 = Monotonic_clock.now () in
+  let t0 = Probe.now_ns () in
   let r = f () in
-  (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9, r)
+  ((Probe.now_ns () -. t0) /. 1e9, r)
 
 (* A named condition on the parsed rows. *)
 type check = string * (Json.t list -> bool)
@@ -60,9 +60,8 @@ let validate ~sweep ~written ~checks text =
       :: checks)
 
 (* Writes and validates the file; exits 1 when a condition fails or the
-   sweep counted [failures] of its own.  [clock] names the clock behind
-   the rows' timings when it is not [time]'s. *)
-let emit ?(clock = clock) ~sweep ~smoke ~(checks : check list) ~failures rows =
+   sweep counted [failures] of its own. *)
+let emit ~sweep ~smoke ~(checks : check list) ~failures rows =
   let file = file_name ~sweep ~smoke in
   let header =
     [
@@ -70,7 +69,7 @@ let emit ?(clock = clock) ~sweep ~smoke ~(checks : check list) ~failures rows =
       ("version", Json.Int 3);
       ("smoke", Json.Bool smoke);
       ("host_cores", Json.Int host_cores);
-      ("clock", Json.String clock);
+      ("clock", Json.String Probe.clock);
     ]
   in
   let errors =

@@ -67,9 +67,9 @@ let feed_row ~level ~n ~seed =
    dialect ([write] carries the final write and commits, so the
    commit stage is folded into the write stage: 4 steps per cycle). *)
 let write_jsonl path ~events ~seed =
-  let module E = Dct_telemetry.Event in
+  let module Si = Dct_sched.Scheduler_intf in
   let oc = open_out path in
-  let sink = Dct_telemetry.Sink.channel oc in
+  let tracer = Dct_telemetry.Tracer.create ~sink:(Dct_telemetry.Sink.channel oc) () in
   let rng = Prng.create ~seed in
   let slot_txn = Array.init mpl (fun i -> i) in
   let slot_stage = Array.make mpl 0 in
@@ -80,21 +80,18 @@ let write_jsonl path ~events ~seed =
     incr i;
     let s = !i mod mpl in
     let txn = slot_txn.(s) in
-    let kind, reads, writes =
+    let step =
       match slot_stage.(s) with
-      | 0 -> ("begin", [], [])
-      | 1 | 2 -> ("read", [ Prng.int rng entities ], [])
-      | _ -> ("write", [], [ Prng.int rng entities ])
+      | 0 -> Dct_txn.Step.Begin txn
+      | 1 | 2 -> Dct_txn.Step.Read (txn, Prng.int rng entities)
+      | _ -> Dct_txn.Step.Write (txn, [ Prng.int rng entities ])
     in
     slot_stage.(s) <- (slot_stage.(s) + 1) mod 4;
     if slot_stage.(s) = 0 then begin
       slot_txn.(s) <- !next;
       incr next
     end;
-    Dct_telemetry.Sink.emit sink
-      (E.Step_submitted { index = !i; step = { E.kind; txn; reads; writes } });
-    Dct_telemetry.Sink.emit sink
-      (E.Decision { index = !i; txn; outcome = "accepted"; reason = "" });
+    ignore (Si.traced_decision tracer ~index:!i step (fun () -> Si.Accepted));
     emitted := !emitted + 2
   done;
   close_out oc

@@ -173,6 +173,4 @@ let run ~smoke () =
     Printf.printf
       "note: single-core host — clients and server share one core; \
        throughput measures protocol + engine overhead\n";
-  (* throughput and latency come from the driver's own clock *)
-  Bench_io.emit ~clock:"Unix.gettimeofday (Dct_net.Driver)" ~sweep:"net"
-    ~smoke ~checks ~failures:0 rows
+  Bench_io.emit ~sweep:"net" ~smoke ~checks ~failures:0 rows

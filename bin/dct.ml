@@ -46,6 +46,20 @@ let print_json ?metrics fields =
   in
   print_endline (Json.to_string (Json.Obj (fields @ metrics)))
 
+(* --trace FILE and --metrics: the run's tracer, the registry that
+   [print_json] embeds, and the call that closes the trace file. *)
+let telemetry ~trace ~metrics_on =
+  let oc = Option.map open_out trace in
+  let registry =
+    if metrics_on then Some (Dct_telemetry.Metrics.create ()) else None
+  in
+  let sink =
+    Option.fold ~none:Dct_telemetry.Sink.null ~some:Dct_telemetry.Sink.channel oc
+  in
+  ( Dct_telemetry.Tracer.create ?metrics:registry ~sink (),
+    registry,
+    fun () -> Option.iter close_out oc )
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -119,6 +133,8 @@ let simulate model policy txns entities mpl skew seed long_readers
   let graph_model =
     List.mem model [ "basic"; "certify"; "multiwrite"; "predeclared" ]
   in
+  (* the certifier never deletes, so it has no policy to index *)
+  let deleting_model = graph_model && model <> "certify" in
   if (trace <> None || metrics_on) && not graph_model then begin
     Printf.eprintf
       "dct: --trace/--metrics are unsupported for model %S (no graph \
@@ -126,27 +142,14 @@ let simulate model policy txns entities mpl skew seed long_readers
       model;
     exit 2
   end;
-  if gc_index <> None && not graph_model then begin
+  if gc_index <> None && not deleting_model then begin
     Printf.eprintf
       "dct: --gc-index is unsupported for model %S (no deletion policy to \
        index)\n"
       model;
     exit 2
   end;
-  let trace_oc = Option.map open_out trace in
-  let sink =
-    match trace_oc with
-    | Some oc -> Dct_telemetry.Sink.channel oc
-    | None -> Dct_telemetry.Sink.null
-  in
-  let registry =
-    if metrics_on then Some (Dct_telemetry.Metrics.create ()) else None
-  in
-  let tracer =
-    if trace <> None || metrics_on then
-      Dct_telemetry.Tracer.create ?metrics:registry ~sink ()
-    else Dct_telemetry.Tracer.disabled
-  in
+  let tracer, registry, close_trace = telemetry ~trace ~metrics_on in
   let burst_on, burst_off =
     match burst with None -> (0, 0) | Some pair -> pair
   in
@@ -177,7 +180,7 @@ let simulate model policy txns entities mpl skew seed long_readers
           Some (fun () -> Dct_sched.Conflict_scheduler.graph_state t),
           Gen.basic profile )
     | "certify" ->
-        ( Dct_sched.Certifier.handle ?oracle ~tracer ?gc_index (),
+        ( Dct_sched.Certifier.handle ?oracle ~tracer (),
           None,
           Gen.basic profile )
     | "multiwrite" ->
@@ -239,7 +242,7 @@ let simulate model policy txns entities mpl skew seed long_readers
         Printf.eprintf "gc-index DIVERGENCE: %s\n" msg;
         exit 1
   in
-  Option.iter close_out trace_oc;
+  close_trace ();
   if json then begin
     (* One JSON object of final statistics; the per-outcome keys reuse
        the [pp_outcome] spellings so they match Decision events and the
@@ -455,20 +458,7 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
   let schedule =
     match steps with None -> schedule | Some n -> take n schedule
   in
-  let trace_oc = Option.map open_out trace in
-  let sink =
-    match trace_oc with
-    | Some oc -> Dct_telemetry.Sink.channel oc
-    | None -> Dct_telemetry.Sink.null
-  in
-  let registry =
-    if metrics_on then Some (Dct_telemetry.Metrics.create ()) else None
-  in
-  let tracer =
-    if trace <> None || metrics_on then
-      Dct_telemetry.Tracer.create ?metrics:registry ~sink ()
-    else Dct_telemetry.Tracer.disabled
-  in
+  let tracer, registry, close_trace = telemetry ~trace ~metrics_on in
   let executor = pick_executor ~cmd:"serve" ~domains ~replay in
   let cfg =
     Eng.config ~policy ~partitioner ?oracle ~tracer ?gc_index ~executor ~shards
@@ -490,7 +480,7 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     let on_signal = Sys.Signal_handle (fun _ -> stop_requested := true) in
     Sys.set_signal Sys.sigint on_signal;
     (try Sys.set_signal Sys.sigterm on_signal with Invalid_argument _ -> ());
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dct_telemetry.Probe.now_ns () in
     Dct_net.Server.start srv;
     Printf.printf
       "dct: serve: listening on %s (%s executor, %d shard(s), batch %d, \
@@ -506,7 +496,8 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
     Printf.printf "dct: serve: %d connection(s) served, %d protocol error(s)\n"
       (Dct_net.Server.connections srv)
       (Dct_net.Server.proto_errors srv);
-    Dct_net.Server.finish srv ~wall_seconds:(Unix.gettimeofday () -. t0)
+    Dct_net.Server.finish srv
+      ~wall_seconds:((Dct_telemetry.Probe.now_ns () -. t0) /. 1e9)
   in
   let r =
     try
@@ -523,7 +514,7 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
         Printf.eprintf "dct: serve: shard %d domain failed: %s\n" shard msg;
         exit 1
   in
-  Option.iter close_out trace_oc;
+  close_trace ();
   let c = r.Eng.coordinator in
   let throughput =
     if r.Eng.wall_seconds > 0.0 then
@@ -557,7 +548,6 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
         ("domains", Json.Int r.Eng.domains);
         ("mode", Json.String r.Eng.executor);
         ("barriers", Json.Int r.Eng.barriers);
-        ("lockstep", Json.Bool r.Eng.lockstep);
         ("policy", Json.String (Policy.name policy));
         ("steps", Json.Int r.Eng.steps);
         (Si.outcome_name Si.Accepted, Json.Int r.Eng.accepted);
@@ -583,9 +573,8 @@ let serve shards batch policy partitioner_spec steps txns entities mpl skew seed
   else begin
     Printf.printf "workload: %s\n" (Format.asprintf "%a" Gen.pp_profile profile);
     Printf.printf "engine: %s\n" r.Eng.name;
-    Printf.printf "executor: %s, %d applier domain(s), %d barriers%s\n"
-      r.Eng.executor r.Eng.domains r.Eng.barriers
-      (if r.Eng.lockstep then ", lock-step (telemetry on)" else "");
+    Printf.printf "executor: %s, %d applier domain(s), %d barriers\n"
+      r.Eng.executor r.Eng.domains r.Eng.barriers;
     Dct_sim.Report.print_table
       ~headers:[ "metric"; "value" ]
       [
@@ -1555,14 +1544,7 @@ let check_conditions condition path names =
 (* History mode (positional FILE): the streaming checker. *)
 let check_history path level oracle checked json metrics_on =
   let module C = Dct_check.Checker in
-  let registry =
-    if metrics_on then Some (Dct_telemetry.Metrics.create ()) else None
-  in
-  let tracer =
-    match registry with
-    | Some m -> Dct_telemetry.Tracer.create ~metrics:m ()
-    | None -> Dct_telemetry.Tracer.disabled
-  in
+  let tracer, registry, _ = telemetry ~trace:None ~metrics_on in
   let oracle = Option.value ~default:Dct_graph.Cycle_oracle.Topo oracle in
   match C.check_file ~oracle ~tracer ~checked ~level path with
   | Error e ->

@@ -59,7 +59,7 @@ type t = {
       (* ids forgotten by the reduction D(G,T) — kept so auditors can
          assert a deleted transaction never reappears in the graph *)
   mutable seq : int;
-  mutable tracer : Tracer.t;
+  tracer : Tracer.t;
       (* run-wide tracing handle; [Tracer.disabled] (the default) makes
          every emission a no-op *)
   mutable hooks : (mutation -> unit) list;
@@ -88,10 +88,6 @@ let on_mutation t f = t.hooks <- t.hooks @ [ f ]
 
 let notify t m =
   match t.hooks with [] -> () | hs -> List.iter (fun f -> f m) hs
-
-let set_tracer t tracer =
-  t.tracer <- tracer;
-  Cycle_oracle.set_probe t.oracle (Tracer.probe tracer)
 
 let copy t =
   let einfos = Hashtbl.create (Hashtbl.length t.einfos) in

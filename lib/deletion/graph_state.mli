@@ -73,9 +73,6 @@ val copy : t -> t
 
 val tracer : t -> Dct_telemetry.Tracer.t
 
-val set_tracer : t -> Dct_telemetry.Tracer.t -> unit
-(** Swap the tracing handle; also re-points the oracle's timing probe. *)
-
 (** {1 Transactions} *)
 
 val begin_txn : ?declared:Dct_txn.Access.t -> t -> int -> unit

@@ -84,55 +84,59 @@ let gc_backend = function
   | None -> "naive"
   | Some idx -> Deletability_index.mode_name (Deletability_index.mode idx)
 
-let run ?index policy gs =
-  let tracer = Graph_state.tracer gs in
-  if (not (Tracer.active tracer)) && Tracer.metrics tracer = None then
-    run_raw ?index policy gs
-  else if policy = No_deletion then run_raw ?index policy gs
+let round tracer ~policy ~condition ~backend ~candidates run =
+  if not (Tracer.enabled tracer) then run ()
   else begin
-    let pname = name policy in
-    let candidates = Graph_state.completed_txns gs in
-    let condition = blocking_condition gs policy in
+    let candidates = candidates () in
     if not (Intset.is_empty candidates) then begin
       Tracer.event tracer (fun () ->
           Event.Deletion_attempted
-            { policy = pname; candidates = Intset.to_sorted_list candidates });
+            { policy; candidates = Intset.to_sorted_list candidates });
       Tracer.incr
         ~by:(Intset.cardinal candidates)
         tracer
-        (Printf.sprintf "deletion.%s.attempted" pname)
+        (Printf.sprintf "deletion.%s.attempted" policy)
     end;
     let deleted =
-      (* one gc observation per policy run: the latency the sweeps and
-         the [dct trace] gc table attribute per index backend *)
-      Probe.obs (Tracer.probe tracer) ~op:"gc" ~backend:(gc_backend index)
-        (fun () -> run_raw ?index policy gs)
+      (* one gc observation per round: the latency the sweeps and the
+         [dct trace] gc table attribute per index backend *)
+      Probe.obs (Tracer.probe tracer) ~op:"gc" ~backend run
     in
     if not (Intset.is_empty deleted) then begin
       Tracer.event tracer (fun () ->
-          Event.Deletion_ok
-            { policy = pname; deleted = Intset.to_sorted_list deleted });
+          Event.Deletion_ok { policy; deleted = Intset.to_sorted_list deleted });
       Tracer.incr
         ~by:(Intset.cardinal deleted)
         tracer
-        (Printf.sprintf "deletion.%s.deleted" pname)
+        (Printf.sprintf "deletion.%s.deleted" policy)
     end;
-    (* Candidates that survived the run were examined and refused. *)
-    let blocked = Intset.inter candidates (Graph_state.completed_txns gs) in
+    (* Candidates that survived the round were examined and refused. *)
+    let blocked = Intset.diff candidates deleted in
     (match condition with
     | Some condition when not (Intset.is_empty blocked) ->
         Tracer.incr
           ~by:(Intset.cardinal blocked)
           tracer
-          (Printf.sprintf "deletion.%s.blocked" pname);
+          (Printf.sprintf "deletion.%s.blocked" policy);
         Intset.iter
-          (fun ti ->
+          (fun txn ->
             Tracer.event tracer (fun () ->
-                Event.Deletion_blocked { policy = pname; txn = ti; condition }))
+                Event.Deletion_blocked { policy; txn; condition }))
           blocked
     | Some _ | None -> ());
     deleted
   end
+
+let run ?index policy gs =
+  let tracer = Graph_state.tracer gs in
+  if (not (Tracer.enabled tracer)) || policy = No_deletion then
+    run_raw ?index policy gs
+  else
+    round tracer ~policy:(name policy)
+      ~condition:(blocking_condition gs policy)
+      ~backend:(gc_backend index)
+      ~candidates:(fun () -> Graph_state.completed_txns gs)
+      (fun () -> run_raw ?index policy gs)
 
 let all_correct =
   [ No_deletion; Noncurrent; Greedy_c1; Exact_max; Budget (32, Greedy_c1) ]

@@ -37,14 +37,11 @@ val name : t -> string
 val run :
   ?index:Deletability_index.t -> t -> Graph_state.t -> Dct_graph.Intset.t
 (** Apply the policy once (after a step), mutating the state; returns
-    the set of deleted transactions.  When the state carries an active
-    tracer, the run emits [Deletion_attempted] (the completed
-    candidates), [Deletion_ok] and per-candidate [Deletion_blocked]
-    events (condition [c1], [c2-max], [noncurrent] or [budget]), feeds
-    the ["deletion.<policy>.{attempted,deleted,blocked}"] counters, and
-    times the whole call as one ["gc"] probe observation attributed to
-    the index backend (["naive"] without one).  Telemetry never changes
-    what is deleted.
+    the set of deleted transactions.  When the state's tracer is
+    enabled, the run is one {!round} over the completed transactions,
+    blocked by condition [c1], [c2-max], [noncurrent] or [budget] and
+    timed under the index backend's name (["naive"] without one).
+    Telemetry never changes what is deleted.
 
     [index] must be a {!Deletability_index.t} attached to {e this}
     state; eligibility/noncurrency queries are then answered from the
@@ -53,6 +50,27 @@ val run :
     refcounts, [Exact_max*] reuses cached discharger sets.  Decisions
     are identical with and without (metamorphic-tested); a [Checked]
     index raises {!Deletability_index.Divergence} on any mismatch. *)
+
+val round :
+  Dct_telemetry.Tracer.t ->
+  policy:string ->
+  condition:string option ->
+  backend:string ->
+  candidates:(unit -> Dct_graph.Intset.t) ->
+  (unit -> Dct_graph.Intset.t) ->
+  Dct_graph.Intset.t
+(** [round tracer ~policy ~condition ~backend ~candidates run] runs one
+    deletion round [run ()], which returns the transactions it deleted,
+    all drawn from [candidates ()].  It is the one emitter of a round's
+    telemetry, shared by {!run} and the schedulers' C3 and C4 rounds.
+    With an enabled tracer it emits [Deletion_attempted] (the
+    candidates, when there are any), times [run] as one ["gc"] probe
+    observation attributed to [backend], emits [Deletion_ok] (when
+    something was deleted) and, when [condition] is given, one
+    [Deletion_blocked] per surviving candidate.  It feeds the
+    ["deletion.<policy>.{attempted,deleted,blocked}"] counters with the
+    same three sizes.  With a disabled tracer it is [run ()]:
+    [candidates] is not evaluated. *)
 
 val all_correct : t list
 (** The correct policies, for sweeps. *)

@@ -309,10 +309,6 @@ type t = {
   exec : exec;
   fault : Fault.t option;
   admission : Admission.t;
-  lockstep : bool;
-      (* telemetry on: await each barrier before the checkpoint, so
-         shard gauges sample at the batch boundary; otherwise shards
-         run one batch behind the coordinator *)
   (* txn -> shards it has ever been hosted on; entries die with the
      transaction (abort or global deletion), so the table's size is
      bounded by the coordinator's residency. *)
@@ -320,7 +316,7 @@ type t = {
   buffers : cmd list array; (* Domains/Replay: per shard, reversed *)
   sends : int array; (* batches flushed per shard, for the fault hooks *)
   barrier_steps : int Queue.t; (* step count at each unreaped barrier *)
-  last_resident : int array; (* per shard, from its last reaped ack *)
+  shard_gauges : string array; (* per shard: its resident-count gauge *)
   mutable barrier_id : int;
   mutable reaped : int;
   mutable steps : int;
@@ -363,12 +359,11 @@ let create ?fault cfg =
       | Replay seed -> replay_executor ~seed workers);
     fault;
     admission = Admission.create ~batch:cfg.batch;
-    lockstep = Tracer.active tr || metrics_on;
     hosting = Hashtbl.create 64;
     buffers = Array.make cfg.shards [];
     sends = Array.make cfg.shards 0;
     barrier_steps = Queue.create ();
-    last_resident = Array.make cfg.shards 0;
+    shard_gauges = Array.init cfg.shards (Printf.sprintf "engine.shard%d.resident_txns");
     barrier_id = 0;
     reaped = 0;
     steps = 0;
@@ -430,7 +425,7 @@ let reap t id =
   List.iter
     (fun a ->
       classify_arcs t a.arcs;
-      t.last_resident.(a.shard_id) <- a.resident;
+      Tracer.gauge t.cfg.tracer t.shard_gauges.(a.shard_id) a.resident;
       match t.on_barrier with
       | Some f -> f ~step ~shard:a.shard_id ~resident:a.resident
       | None -> ())
@@ -540,55 +535,42 @@ let abort_everywhere t txn =
 let process_step t step =
   t.steps <- t.steps + 1;
   let index = t.steps in
-  let tr = t.cfg.tracer in
-  Tracer.event tr (fun () -> Event.Step_submitted { index; step = Step.to_telemetry step });
-  let outcome = Coordinator.decide t.coordinator step in
-  let si, reason =
-    match outcome with
-    | Rules.Accepted -> (Si.Accepted, "")
-    | Rules.Rejected -> (Si.Rejected, "cycle")
-    | Rules.Ignored -> (Si.Ignored, "already-aborted")
+  let outcome =
+    Si.traced_decision t.cfg.tracer ~index step (fun () ->
+        match Coordinator.decide t.coordinator step with
+        | Rules.Accepted -> Si.Accepted
+        | Rules.Rejected -> Si.Rejected
+        | Rules.Ignored -> Si.Ignored)
   in
-  let outcome_name = Si.outcome_name si in
-  Tracer.event tr (fun () ->
-      Event.Decision { index; txn = Step.txn step; outcome = outcome_name; reason });
-  Tracer.incr tr ("outcome." ^ outcome_name);
   (match outcome with
-  | Rules.Accepted ->
+  | Si.Accepted ->
       t.accepted <- t.accepted + 1;
       route_accepted t ~index step;
       broadcast_deletions t (Coordinator.collect_garbage t.coordinator)
-  | Rules.Rejected ->
+  | Si.Rejected ->
       t.rejected <- t.rejected + 1;
       abort_everywhere t (Step.txn step);
       broadcast_deletions t (Coordinator.collect_garbage t.coordinator)
-  | Rules.Ignored -> t.ignored <- t.ignored + 1);
-  match t.on_step with Some f -> f index step si | None -> ()
+  | Si.Ignored | Si.Delayed (* the coordinator never delays *) ->
+      t.ignored <- t.ignored + 1);
+  match t.on_step with Some f -> f index step outcome | None -> ()
 
+(* The coordinator's residency at a batch boundary; shard gauges are
+   set as each ack is reaped. *)
 let checkpoint t =
-  let tr = t.cfg.tracer in
-  if t.lockstep then begin
-    let c : Coordinator.stats = Coordinator.stats t.coordinator in
-    Tracer.event tr (fun () ->
-        Event.Checkpoint_stats
-          {
-            at_step = t.steps;
-            resident_txns = c.resident_txns;
-            resident_arcs = c.resident_arcs;
-            active_txns = c.active_txns;
-            committed = t.committed;
-            aborted = t.aborted;
-            deleted = c.deleted_total;
-            delayed = 0;
-            resident_bytes = c.resident_bytes;
-          });
-    Tracer.gauge tr "resident_txns" c.resident_txns;
-    Tracer.gauge tr "resident_arcs" c.resident_arcs;
-    Tracer.gauge tr "graph.resident_bytes" c.resident_bytes;
-    Array.iteri
-      (fun i r -> Tracer.gauge tr (Printf.sprintf "engine.shard%d.resident_txns" i) r)
-      t.last_resident
-  end
+  Tracer.checkpoint t.cfg.tracer (fun () ->
+      let c : Coordinator.stats = Coordinator.stats t.coordinator in
+      {
+        Event.at_step = t.steps;
+        resident_txns = c.resident_txns;
+        resident_arcs = c.resident_arcs;
+        active_txns = c.active_txns;
+        committed = t.committed;
+        aborted = t.aborted;
+        deleted = c.deleted_total;
+        delayed = 0;
+        resident_bytes = c.resident_bytes;
+      })
 
 (* Batch boundary = the group-commit point: each shard runs its own
    deletion policy against its (smaller) local graph, then answers the
@@ -599,14 +581,13 @@ let close_batch t =
   done;
   flush t
 
+(* Barrier b is reaped only after batch b+1 has been decided, so
+   shards run one batch behind the coordinator, traced or not. *)
 let process_batch t batch =
   List.iter (process_step t) batch;
   let id = close_batch t in
-  if t.lockstep then begin
-    reap_through t id;
-    checkpoint t
-  end
-  else reap_through t (id - 1)
+  reap_through t (id - 1);
+  checkpoint t
 
 let submit t step =
   match Admission.submit t.admission step with
@@ -640,7 +621,6 @@ type report = {
   executor : string;
   domains : int;
   barriers : int;
-  lockstep : bool;
   shards : int;
   batch : int;
   steps : int;
@@ -678,7 +658,6 @@ let report (t : t) ~wall_seconds =
     executor;
     domains = (match t.cfg.executor with Domains -> t.cfg.shards | Inline | Replay _ -> 1);
     barriers = t.barrier_id;
-    lockstep = t.lockstep;
     shards = t.cfg.shards;
     batch = t.cfg.batch;
     steps = t.steps;
@@ -716,9 +695,9 @@ let finish (t : t) ~wall_seconds =
 
 let run ?on_step (t : t) steps =
   t.on_step <- on_step;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dct_telemetry.Probe.now_ns () in
   List.iter (submit t) steps;
-  finish t ~wall_seconds:(Unix.gettimeofday () -. t0)
+  finish t ~wall_seconds:((Dct_telemetry.Probe.now_ns () -. t0) /. 1e9)
 
 (* ------------------------------------------------------------------ *)
 (* Differential mode                                                   *)
@@ -839,8 +818,8 @@ let differential ?(executor = Inline) ?fault ?oracle ?partitioner ?gc_index ~sha
   let partitioner =
     match partitioner with Some p -> p | None -> Partitioner.hash ~shards
   in
-  (* The other executors are traced and compared with an Inline run;
-     tracing puts them in lock-step with their barriers. *)
+  (* The other executors are traced and compared with a traced Inline
+     run. *)
   let inline = executor = Inline in
   let traced_config executor =
     let buf = Buffer.create 4096 in

@@ -77,9 +77,13 @@ type config = {
       (** Backend for the {e coordinator}'s graph ([None]: the
           default, [Topo]).  Shards always use the default. *)
   tracer : Dct_telemetry.Tracer.t;
-      (** An active tracer or a metrics registry puts the coordinator in
-          lock-step with the shards: it awaits each barrier and then
-          emits the checkpoint. *)
+      (** Receives the coordinator's [Step_submitted]/[Decision] and
+          GC-round events, a [Checkpoint_stats] after every batch, and
+          the ["engine.shard<i>.resident_txns"] gauges, each set as
+          that shard's barrier ack is reaped.  Telemetry does not change
+          when barriers are reaped: traced runs pipeline exactly as
+          untraced ones, and every [report] field but [wall_seconds] is
+          the same with and without it. *)
   gc_index : Dct_deletion.Deletability_index.mode option;
       (** Deletability-index backend for {e both} the coordinator's
           global GC and every shard's local GC ([None] = naive
@@ -176,7 +180,6 @@ type report = {
   executor : string;  (** {!executor_name} *)
   domains : int;  (** domains the shard appliers run on *)
   barriers : int;
-  lockstep : bool;  (** telemetry kept the shards in lock-step *)
   shards : int;
   batch : int;
   steps : int;

@@ -76,7 +76,7 @@ type imp =
   | Topo_i of Topo_order.t
   | Checked_i of Closure.t * Topo_order.t
 
-type t = { imp : imp; mutable probe : Probe.t option }
+type t = { imp : imp; probe : Probe.t option }
 
 let create ?probe backend =
   let imp =
@@ -94,7 +94,6 @@ let backend t =
   | Checked_i _ -> Checked
 
 let name t = backend_name (backend t)
-let set_probe t probe = t.probe <- probe
 let probe t = t.probe
 
 (* Copies are overwhelmingly speculative (safety searches, audits, the

@@ -108,9 +108,6 @@ val create : ?probe:Dct_telemetry.Probe.t -> backend -> t
 val backend : t -> backend
 val name : t -> string
 
-val set_probe : t -> Dct_telemetry.Probe.t option -> unit
-(** Attach or detach the timing probe of a live oracle. *)
-
 val probe : t -> Dct_telemetry.Probe.t option
 
 val copy : t -> t

@@ -1,4 +1,5 @@
 module Metrics = Dct_telemetry.Metrics
+module Probe = Dct_telemetry.Probe
 module Sched = Dct_sched.Scheduler_intf
 module Mix = Dct_workload.Mix
 
@@ -37,11 +38,11 @@ let client_loop cfg addr ~client reg =
   let c = Client.connect ~dialect:cfg.dialect addr in
   let sampler = Mix.sampler cfg.mix ~keys:cfg.keys ~seed:(cfg.seed + (7919 * client)) in
   let burst = Mix.burst cfg.mix in
-  let started = Unix.gettimeofday () in
+  let started = Probe.now_ns () in
   let timed_call req =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Probe.now_ns () in
     let r = Client.call c req in
-    let dt_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+    let dt_ns = Probe.now_ns () -. t0 in
     Metrics.observe reg ("net.latency." ^ op_name req) dt_ns;
     Metrics.observe reg "net.latency.all" dt_ns;
     match r with
@@ -75,9 +76,7 @@ let client_loop cfg addr ~client reg =
     | Some (on_ms, off_ms) ->
         (* arrival modulation: sleep out the rest of an off window *)
         let period = on_ms + off_ms in
-        let elapsed_ms =
-          int_of_float ((Unix.gettimeofday () -. started) *. 1000.)
-        in
+        let elapsed_ms = int_of_float ((Probe.now_ns () -. started) /. 1e6) in
         let phase = elapsed_ms mod period in
         if phase >= on_ms then
           Thread.delay (float_of_int (period - phase) /. 1000.)
@@ -87,7 +86,7 @@ let client_loop cfg addr ~client reg =
 let run cfg addr =
   if cfg.clients <= 0 then invalid_arg "Driver.run: clients must be positive";
   let regs = Array.init cfg.clients (fun _ -> Metrics.create ()) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Probe.now_ns () in
   let threads =
     Array.to_list
       (Array.mapi
@@ -96,7 +95,7 @@ let run cfg addr =
          regs)
   in
   List.iter Thread.join threads;
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let wall_seconds = (Probe.now_ns () -. t0) /. 1e9 in
   let metrics = Metrics.create () in
   Array.iter (fun r -> Metrics.merge ~into:metrics r) regs;
   let count name = Metrics.counter metrics name in

@@ -5,36 +5,20 @@ module Step = Dct_txn.Step
 module Transaction = Dct_txn.Transaction
 module Gs = Dct_deletion.Graph_state
 module Policy = Dct_deletion.Policy
-module Dindex = Dct_deletion.Deletability_index
 
 type t = {
   gs : Gs.t;
-  index : Dindex.t option;
   mutable steps : int;
   mutable committed : int;
   mutable aborted : int;
   mutable deleted : int;
 }
 
-let create ?oracle ?tracer ?gc_index () =
+let create ?oracle ?tracer () =
   let gs = Gs.create ?oracle ?tracer () in
-  let index = Option.map (fun mode -> Dindex.attach mode gs) gc_index in
-  { gs; index; steps = 0; committed = 0; aborted = 0; deleted = 0 }
+  { gs; steps = 0; committed = 0; aborted = 0; deleted = 0 }
 
-let copy t =
-  let gs = Gs.copy t.gs in
-  (* Gs.copy drops mutation subscriptions, so the replica re-attaches a
-     fresh index in the same mode (rebuilt on its first query) instead
-     of sharing the original's — which would go stale immediately. *)
-  let index = Option.map (fun i -> Dindex.attach (Dindex.mode i) gs) t.index in
-  {
-    gs;
-    index;
-    steps = t.steps;
-    committed = t.committed;
-    aborted = t.aborted;
-    deleted = t.deleted;
-  }
+let copy t = { t with gs = Gs.copy t.gs }
 
 let graph_state t = t.gs
 
@@ -114,7 +98,7 @@ let unsafe_step_with_policy t policy s =
           t.committed <- t.committed + 1;
           t.deleted <-
             t.deleted
-            + Intset.cardinal (Policy.run ?index:t.index policy t.gs);
+            + Intset.cardinal (Policy.run policy t.gs);
           Scheduler_intf.Accepted
         end
         else begin
@@ -138,8 +122,8 @@ let stats t =
     resident_bytes = Gs.resident_bytes t.gs;
   }
 
-let handle ?oracle ?tracer ?gc_index () =
-  let t = create ?oracle ?tracer ?gc_index () in
+let handle ?oracle ?tracer () =
+  let t = create ?oracle ?tracer () in
   Scheduler_intf.trace_steps ~reject_reason:"certification-conflict-cycle"
     (Gs.tracer t.gs)
     {

@@ -31,16 +31,12 @@ type t
 val create :
   ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?tracer:Dct_telemetry.Tracer.t ->
-  ?gc_index:Dct_deletion.Deletability_index.mode ->
   unit ->
   t
 (** [oracle] selects the cycle-check backend used at certification time
     (default: [Topo]); [tracer] threads the telemetry handle through the
-    graph state.  [gc_index] attaches a
-    deletability index — it only matters under
-    {!unsafe_step_with_policy} (the certifier itself never deletes),
-    where it keeps the unsound-deletion demonstrations index-covered
-    too.  {!copy} re-attaches a fresh index to the replica. *)
+    graph state.  No deletability index is offered: the certifier never
+    deletes, so an index would only track mutations nobody queries. *)
 
 val copy : t -> t
 (** Deep copy — lets the generic safety oracle
@@ -56,7 +52,6 @@ val stats : t -> Scheduler_intf.stats
 val handle :
   ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?tracer:Dct_telemetry.Tracer.t ->
-  ?gc_index:Dct_deletion.Deletability_index.mode ->
   unit ->
   Scheduler_intf.handle
 

@@ -6,6 +6,7 @@ module Transaction = Dct_txn.Transaction
 module Gs = Dct_deletion.Graph_state
 module C3 = Dct_deletion.Condition_c3
 module Reduced = Dct_deletion.Reduced_graph
+module Policy = Dct_deletion.Policy
 module Dindex = Dct_deletion.Deletability_index
 
 type deletion_mode = No_deletion | C3_exact of int
@@ -92,20 +93,6 @@ let run_deletion t =
   | No_deletion -> ()
   | C3_exact cap ->
       if Intset.cardinal (Gs.active_txns t.gs) <= cap then begin
-        let module T = Dct_telemetry.Tracer in
-        let tracer = Gs.tracer t.gs in
-        let candidates0 = committed_candidates t in
-        if not (Intset.is_empty candidates0) then begin
-          T.event tracer (fun () ->
-              Dct_telemetry.Event.Deletion_attempted
-                {
-                  policy = "c3-exact";
-                  candidates = Intset.to_sorted_list candidates0;
-                });
-          T.incr ~by:(Intset.cardinal candidates0) tracer
-            "deletion.c3-exact.attempted"
-        end;
-        let removed = ref Intset.empty in
         let holds v =
           let ok = C3.holds t.gs v in
           (if t.gc_index = Some Dindex.Checked && C3.quick_reject t.gs v && ok
@@ -118,41 +105,26 @@ let run_deletion t =
                      v)));
           ok
         in
-        let rec loop () =
+        let rec loop removed =
           match
             List.find_opt holds (Intset.elements (committed_candidates t))
           with
           | Some v ->
               Reduced.delete t.gs v;
               t.deleted <- t.deleted + 1;
-              removed := Intset.add v !removed;
-              loop ()
-          | None -> ()
+              loop (Intset.add v removed)
+          | None -> removed
         in
         let backend =
           match t.gc_index with
           | None -> "naive"
           | Some m -> Dindex.mode_name m
         in
-        Dct_telemetry.Probe.obs (T.probe tracer) ~op:"gc" ~backend loop;
-        if not (Intset.is_empty !removed) then begin
-          T.event tracer (fun () ->
-              Dct_telemetry.Event.Deletion_ok
-                { policy = "c3-exact"; deleted = Intset.to_sorted_list !removed });
-          T.incr ~by:(Intset.cardinal !removed) tracer
-            "deletion.c3-exact.deleted"
-        end;
-        let blocked = Intset.diff candidates0 !removed in
-        if not (Intset.is_empty blocked) then begin
-          T.incr ~by:(Intset.cardinal blocked) tracer
-            "deletion.c3-exact.blocked";
-          Intset.iter
-            (fun v ->
-              T.event tracer (fun () ->
-                  Dct_telemetry.Event.Deletion_blocked
-                    { policy = "c3-exact"; txn = v; condition = "c3" }))
-            blocked
-        end
+        ignore
+          (Policy.round (Gs.tracer t.gs) ~policy:"c3-exact"
+             ~condition:(Some "c3") ~backend
+             ~candidates:(fun () -> committed_candidates t)
+             (fun () -> loop Intset.empty))
       end
 
 let step t s =

@@ -6,6 +6,7 @@ module Transaction = Dct_txn.Transaction
 module Gs = Dct_deletion.Graph_state
 module C4 = Dct_deletion.Condition_c4
 module Reduced = Dct_deletion.Reduced_graph
+module Policy = Dct_deletion.Policy
 module Dindex = Dct_deletion.Deletability_index
 
 type pending = { entity : int; mode : Access.mode }
@@ -71,16 +72,6 @@ let future_conflicters t ~txn ~entity ~mode =
 
 let run_c4 t =
   if t.use_c4 then begin
-    let module T = Dct_telemetry.Tracer in
-    let tracer = Gs.tracer t.gs in
-    let candidates0 = Gs.completed_txns t.gs in
-    if not (Intset.is_empty candidates0) then begin
-      T.event tracer (fun () ->
-          Dct_telemetry.Event.Deletion_attempted
-            { policy = "c4"; candidates = Intset.to_sorted_list candidates0 });
-      T.incr ~by:(Intset.cardinal candidates0) tracer "deletion.c4.attempted"
-    end;
-    let removed = ref Intset.empty in
     (* Smallest C4-eligible id first, repeatedly — the naive scan and
        the index agree on this pick by construction. *)
     let next () =
@@ -92,37 +83,24 @@ let run_c4 t =
           List.find_opt (fun v -> C4.holds t.gs v)
             (Intset.elements (Gs.completed_txns t.gs))
     in
-    let rec loop () =
+    let rec loop removed =
       match next () with
       | Some v ->
           Reduced.delete t.gs v;
           t.deleted <- t.deleted + 1;
-          removed := Intset.add v !removed;
-          loop ()
-      | None -> ()
+          loop (Intset.add v removed)
+      | None -> removed
     in
     let backend =
       match t.index with
       | None -> "naive"
       | Some idx -> Dindex.mode_name (Dindex.mode idx)
     in
-    Dct_telemetry.Probe.obs (T.probe tracer) ~op:"gc" ~backend loop;
-    if not (Intset.is_empty !removed) then begin
-      T.event tracer (fun () ->
-          Dct_telemetry.Event.Deletion_ok
-            { policy = "c4"; deleted = Intset.to_sorted_list !removed });
-      T.incr ~by:(Intset.cardinal !removed) tracer "deletion.c4.deleted"
-    end;
-    let blocked = Intset.diff candidates0 !removed in
-    if not (Intset.is_empty blocked) then begin
-      T.incr ~by:(Intset.cardinal blocked) tracer "deletion.c4.blocked";
-      Intset.iter
-        (fun v ->
-          T.event tracer (fun () ->
-              Dct_telemetry.Event.Deletion_blocked
-                { policy = "c4"; txn = v; condition = "c4" }))
-        blocked
-    end
+    ignore
+      (Policy.round (Gs.tracer t.gs) ~policy:"c4" ~condition:(Some "c4")
+         ~backend
+         ~candidates:(fun () -> Gs.completed_txns t.gs)
+         (fun () -> loop Intset.empty))
   end
 
 (* Attempt one data step; [true] if executed, [false] if it must wait. *)

@@ -12,13 +12,13 @@ type outcome =
   | Delayed   (** queued inside the scheduler; retried automatically *)
   | Ignored   (** step of an already-aborted transaction *)
 
-let pp_outcome ppf o =
-  Format.pp_print_string ppf
-    (match o with
-    | Accepted -> "accepted"
-    | Rejected -> "rejected"
-    | Delayed -> "delayed"
-    | Ignored -> "ignored")
+let outcome_name = function
+  | Accepted -> "accepted"
+  | Rejected -> "rejected"
+  | Delayed -> "delayed"
+  | Ignored -> "ignored"
+
+let pp_outcome ppf o = Format.pp_print_string ppf (outcome_name o)
 
 type stats = {
   resident_txns : int;  (** transactions currently remembered *)
@@ -62,43 +62,52 @@ type handle = {
           final outcomes. *)
 }
 
-let outcome_name o = Format.asprintf "%a" pp_outcome o
-
-(** Wrap a handle so every submission emits [Step_submitted] and
-    [Decision] events and bumps the ["outcome.<outcome>"] counters.
-    The reasons are the wrapping scheduler's vocabulary: [reject_reason]
-    for [Rejected] (e.g. ["cycle"]), [delay_reason] for [Delayed],
-    [ignore_reason] for [Ignored].  Returns the handle unchanged for an
-    inert tracer, so the untraced path stays zero-cost.  The wrapped
-    [step] makes the same decisions as the bare one — tracing observes,
-    never steers. *)
-let trace_steps ?(reject_reason = "cycle")
+(** The one emitter of a decision's telemetry, shared by {!trace_steps}
+    and the engine's coordinator: [traced_decision tracer ~index step
+    decide] runs [decide ()], the scheduler's verdict on [step], and
+    with an enabled tracer emits [Step_submitted] before it and
+    [Decision] after it, and bumps the ["outcome.<outcome>"] counter.
+    The reasons are the deciding scheduler's vocabulary:
+    [reject_reason] for [Rejected] (e.g. ["cycle"]), [delay_reason] for
+    [Delayed], [ignore_reason] for [Ignored].  With a disabled tracer it
+    is [decide ()]: no event, no string.  Tracing observes, never
+    steers. *)
+let traced_decision ?(reject_reason = "cycle")
     ?(delay_reason = "future-conflict-wait")
-    ?(ignore_reason = "already-aborted") tracer h =
+    ?(ignore_reason = "already-aborted") tracer ~index step decide =
   let module T = Dct_telemetry.Tracer in
-  if (not (T.active tracer)) && T.metrics tracer = None then h
+  if not (T.enabled tracer) then decide ()
+  else begin
+    T.event tracer (fun () ->
+        Dct_telemetry.Event.Step_submitted
+          { index; step = Dct_txn.Step.to_telemetry step });
+    let o = decide () in
+    let outcome = outcome_name o in
+    let reason =
+      match o with
+      | Accepted -> ""
+      | Rejected -> reject_reason
+      | Delayed -> delay_reason
+      | Ignored -> ignore_reason
+    in
+    T.event tracer (fun () ->
+        Dct_telemetry.Event.Decision
+          { index; txn = Dct_txn.Step.txn step; outcome; reason });
+    T.incr tracer ("outcome." ^ outcome);
+    o
+  end
+
+(** Wrap a handle so every submission goes through {!traced_decision},
+    numbered by a 1-based step counter.  Returns the handle unchanged
+    for a disabled tracer, so the untraced path stays zero-cost. *)
+let trace_steps ?reject_reason ?delay_reason ?ignore_reason tracer h =
+  if not (Dct_telemetry.Tracer.enabled tracer) then h
   else begin
     let index = ref 0 in
     let step s =
       incr index;
-      let i = !index in
-      T.event tracer (fun () ->
-          Dct_telemetry.Event.Step_submitted
-            { index = i; step = Dct_txn.Step.to_telemetry s });
-      let o = h.step s in
-      let outcome = outcome_name o in
-      let reason =
-        match o with
-        | Accepted -> ""
-        | Rejected -> reject_reason
-        | Delayed -> delay_reason
-        | Ignored -> ignore_reason
-      in
-      T.event tracer (fun () ->
-          Dct_telemetry.Event.Decision
-            { index = i; txn = Dct_txn.Step.txn s; outcome; reason });
-      T.incr tracer ("outcome." ^ outcome);
-      o
+      traced_decision ?reject_reason ?delay_reason ?ignore_reason tracer
+        ~index:!index s (fun () -> h.step s)
     in
     { h with step }
   end

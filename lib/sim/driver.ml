@@ -23,26 +23,21 @@ type result = {
 }
 
 module Tracer = Dct_telemetry.Tracer
+module Probe = Dct_telemetry.Probe
 
-let snapshot_of at_step (st : Si.stats) =
-  {
-    Dct_telemetry.Event.at_step;
-    resident_txns = st.Si.resident_txns;
-    resident_arcs = st.Si.resident_arcs;
-    active_txns = st.Si.active_txns;
-    committed = st.Si.committed_total;
-    aborted = st.Si.aborted_total;
-    deleted = st.Si.deleted_total;
-    delayed = st.Si.delayed_now;
-    resident_bytes = st.Si.resident_bytes;
-  }
-
-let checkpoint tracer at_step st =
-  Tracer.event tracer (fun () ->
-      Dct_telemetry.Event.Checkpoint_stats (snapshot_of at_step st));
-  Tracer.gauge tracer "resident_txns" st.Si.resident_txns;
-  Tracer.gauge tracer "resident_arcs" st.Si.resident_arcs;
-  Tracer.gauge tracer "graph.resident_bytes" st.Si.resident_bytes
+let checkpoint tracer at_step (st : Si.stats) =
+  Tracer.checkpoint tracer (fun () ->
+      {
+        Dct_telemetry.Event.at_step;
+        resident_txns = st.Si.resident_txns;
+        resident_arcs = st.Si.resident_arcs;
+        active_txns = st.Si.active_txns;
+        committed = st.Si.committed_total;
+        aborted = st.Si.aborted_total;
+        deleted = st.Si.deleted_total;
+        delayed = st.Si.delayed_now;
+        resident_bytes = st.Si.resident_bytes;
+      })
 
 let run ?(sample_every = 16) ?observe ?(tracer = Tracer.disabled)
     (handle : Si.handle) schedule =
@@ -55,7 +50,7 @@ let run ?(sample_every = 16) ?observe ?(tracer = Tracer.disabled)
   and peak_arcs = ref 0 in
   let resident_sum = ref 0 in
   let samples = ref [] in
-  let t0 = Sys.time () in
+  let t0 = Probe.now_ns () in
   List.iter
     (fun step ->
       incr steps;
@@ -75,11 +70,10 @@ let run ?(sample_every = 16) ?observe ?(tracer = Tracer.disabled)
       (* Gauges follow every step so their high-water marks equal the
          true residency peaks; checkpoint events follow the sampling
          cadence. *)
-      Tracer.gauge tracer "resident_txns" st.Si.resident_txns;
-      Tracer.gauge tracer "resident_arcs" st.Si.resident_arcs;
+      Tracer.residency tracer ~txns:st.Si.resident_txns
+        ~arcs:st.Si.resident_arcs ~bytes:st.Si.resident_bytes;
       if !steps mod sample_every = 0 then begin
-        Tracer.event tracer (fun () ->
-            Dct_telemetry.Event.Checkpoint_stats (snapshot_of !steps st));
+        checkpoint tracer !steps st;
         samples :=
           {
             at_step = !steps;
@@ -91,7 +85,7 @@ let run ?(sample_every = 16) ?observe ?(tracer = Tracer.disabled)
       end)
     schedule;
   ignore (handle.Si.drain ());
-  let wall_seconds = Sys.time () -. t0 in
+  let wall_seconds = (Probe.now_ns () -. t0) /. 1e9 in
   let final = handle.Si.stats () in
   checkpoint tracer !steps final;
   Tracer.flush tracer;

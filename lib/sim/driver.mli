@@ -39,11 +39,13 @@ val run :
     after every step with the 1-based step number, the step and its
     outcome — the [--selfcheck] invariant audit hangs off this hook;
     whatever it raises aborts the run.  [tracer] (default disabled)
-    receives [Checkpoint_stats] events on the sampling cadence plus a
-    final one after the drain, keeps the ["resident_txns"] /
-    ["resident_arcs"] gauges current at every step (their high-water
-    marks equal the peaks reported here), and is flushed before the
-    driver returns. *)
+    receives {!Dct_telemetry.Tracer.checkpoint}s on the sampling
+    cadence plus a final one after the drain, keeps the residency
+    gauges (["resident_txns"], ["resident_arcs"],
+    ["graph.resident_bytes"]) current at every step, so their
+    high-water marks are per-step peaks, and is flushed before the
+    driver returns.  [wall_seconds] is elapsed time on
+    {!Dct_telemetry.Probe.now_ns}'s monotonic clock. *)
 
 val run_fresh :
   ?sample_every:int ->

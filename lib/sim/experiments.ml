@@ -292,9 +292,9 @@ let ex7_three_sat ?(oc = stdout) () =
       (fun (name, nvars, clauses) ->
         let f = Dct_npc.Sat.three_sat ~nvars clauses in
         let sat = Dct_npc.Sat.is_satisfiable f in
-        let t0 = Sys.time () in
+        let t0 = Dct_telemetry.Probe.now_ns () in
         let deletable = Dct_npc.Reduction_sat.c_deletable f in
-        let dt = (Sys.time () -. t0) *. 1000.0 in
+        let dt = (Dct_telemetry.Probe.now_ns () -. t0) /. 1e6 in
         [
           name;
           string_of_int nvars;
@@ -486,9 +486,9 @@ let ex11_complexity_table ?(oc = stdout) () =
         let gs = prefix_state profile 90 in
         let completed = Gs.completed_txns gs in
         let time_it f =
-          let t0 = Sys.time () in
+          let t0 = Dct_telemetry.Probe.now_ns () in
           f ();
-          (Sys.time () -. t0) *. 1000.0
+          (Dct_telemetry.Probe.now_ns () -. t0) /. 1e6
         in
         let c1_all =
           time_it (fun () -> Intset.iter (fun ti -> ignore (C1.holds gs ti)) completed)

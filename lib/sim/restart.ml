@@ -31,7 +31,7 @@ let origin_of id = id mod retry_stride
 
 let run ?(max_attempts = 4) ?(tracer = Dct_telemetry.Tracer.disabled)
     (handle : Si.handle) schedule =
-  let t0 = Sys.time () in
+  let t0 = Dct_telemetry.Probe.now_ns () in
   (* Full step list per original transaction, in program order. *)
   let steps_of : (int, Step.t list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
@@ -137,7 +137,7 @@ let run ?(max_attempts = 4) ?(tracer = Dct_telemetry.Tracer.disabled)
     attempts = !attempts;
     steps_submitted = !submitted;
     peak_resident = !peak;
-    wall_seconds = Sys.time () -. t0;
+    wall_seconds = (Dct_telemetry.Probe.now_ns () -. t0) /. 1e9;
   }
 
 let pp ppf r =

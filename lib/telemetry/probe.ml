@@ -1,6 +1,7 @@
 type t = { observe : op:string -> backend:string -> ns:float -> unit }
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+let clock = "clock_gettime(CLOCK_MONOTONIC) via bechamel.monotonic_clock"
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 let observe t ~op ~backend ~ns = t.observe ~op ~backend ~ns
 

@@ -8,16 +8,21 @@ type t = {
 let disabled = { active = false; sink = Sink.Null; metrics = None; probe = None }
 
 let create ?metrics ?(sink = Sink.Null) () =
+  let active = match sink with Sink.Null -> false | _ -> true in
   let probe =
-    Probe.make (fun ~op ~backend ~ns ->
-        Sink.emit sink (Event.Oracle_query { op; backend; ns });
-        match metrics with
-        | Some m -> Metrics.observe m (Printf.sprintf "oracle.%s.%s" backend op) ns
-        | None -> ())
+    if (not active) && metrics = None then None
+    else
+      Some
+        (Probe.make (fun ~op ~backend ~ns ->
+             if active then Sink.emit sink (Event.Oracle_query { op; backend; ns });
+             match metrics with
+             | Some m -> Metrics.observe m (Printf.sprintf "oracle.%s.%s" backend op) ns
+             | None -> ()))
   in
-  { active = true; sink; metrics; probe = Some probe }
+  { active; sink; metrics; probe }
 
 let active t = t.active
+let enabled t = t.active || t.metrics <> None
 let metrics t = t.metrics
 let probe t = t.probe
 let sink t = t.sink
@@ -32,5 +37,20 @@ let gauge t name v =
 
 let observe t name v =
   match t.metrics with Some m -> Metrics.observe m name v | None -> ()
+
+let residency t ~txns ~arcs ~bytes =
+  match t.metrics with
+  | Some m ->
+      Metrics.gauge m "resident_txns" txns;
+      Metrics.gauge m "resident_arcs" arcs;
+      Metrics.gauge m "graph.resident_bytes" bytes
+  | None -> ()
+
+let checkpoint t snapshot =
+  if enabled t then begin
+    let (s : Event.stats_snapshot) = snapshot () in
+    event t (fun () -> Event.Checkpoint_stats s);
+    residency t ~txns:s.resident_txns ~arcs:s.resident_arcs ~bytes:s.resident_bytes
+  end
 
 let flush t = Sink.flush t.sink

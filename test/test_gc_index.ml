@@ -329,6 +329,17 @@ let test_engine_differential_checked () =
     sweep_profiles;
   check "sweep covers >= 240 runs" true (!runs >= 240)
 
+(* The certifier never deletes, so the CLI refuses to attach an index
+   to it, as it does for the schedulers without a conflict graph. *)
+let test_certify_refuses_index () =
+  let dct = Filename.concat (Filename.concat ".." "bin") "dct.exe" in
+  if not (Sys.file_exists dct) then Alcotest.skip ()
+  else
+    Alcotest.(check int) "certify --gc-index exits 2" 2
+      (Sys.command
+         (Filename.quote_command dct ~stdout:Filename.null ~stderr:Filename.null
+            [ "simulate"; "-m"; "certify"; "--gc-index"; "incremental"; "-n"; "10" ]))
+
 let () =
   let qcheck =
     List.map QCheck_alcotest.to_alcotest
@@ -347,6 +358,8 @@ let () =
             `Quick test_multiwrite_backends_agree;
           Alcotest.test_case "index stats show incrementality" `Quick
             test_index_stats_show_incrementality;
+          Alcotest.test_case "certify has no index to attach" `Quick
+            test_certify_refuses_index;
         ] );
       ( "engine",
         [

@@ -164,8 +164,7 @@ let test_domains_matrix () =
 (* --- executor independence: the executor and the interleaving seed
    are unobservable --- *)
 
-(* Untraced, so the coordinator pipelines: shards run one batch behind
-   it under every executor. *)
+(* Shards run one batch behind the coordinator under every executor. *)
 let snapshot executor ~shards steps =
   let eng = Eng.create (Eng.config ~policy:Policy.Greedy_c1 ~executor ~shards ~batch:8 ()) in
   let r = Eng.run eng steps in
@@ -177,7 +176,6 @@ let snapshot executor ~shards steps =
     in
     (Shard.stats sh, store)
   in
-  check "pipelined" false r.Eng.lockstep;
   ( ( r.Eng.steps,
       r.Eng.accepted,
       r.Eng.rejected,
@@ -385,8 +383,7 @@ let test_traced_domains_run () =
       ~batch:8 ()
   in
   let steps = workload ~txns:40 ~entities:24 ~shards:3 3 in
-  let r = Eng.run (Eng.create cfg) steps in
-  check "lockstep under tracing" true r.Eng.lockstep;
+  ignore (Eng.run (Eng.create cfg) steps);
   match Sink.parse_string (Buffer.contents buf) with
   | Error e -> Alcotest.failf "domains trace malformed: %s" e
   | Ok events ->

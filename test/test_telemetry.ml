@@ -12,7 +12,14 @@
    - the Checked backend's probe attribution: per operation, a checked
      run carries exactly the closure-run and topo-run sample counts;
    - a basic-model trace re-fed through [Audit.of_telemetry] passes
-     the deletion auditor. *)
+     the deletion auditor;
+   - telemetry does not change the engine's report under any executor;
+   - the driver's residency gauges peak at least as high as every
+     checkpoint it traced;
+   - the deletion counters agree with the GC-round events, for every
+     model, C3 and C4 included;
+   - a metrics-only tracer builds no event yet feeds the same counters
+     and gauges as a traced run. *)
 
 module Intset = Dct_graph.Intset
 module Oracle = Dct_graph.Cycle_oracle
@@ -28,6 +35,7 @@ module Sink = Dct_telemetry.Sink
 module Metrics = Dct_telemetry.Metrics
 module Tracer = Dct_telemetry.Tracer
 module Probe = Dct_telemetry.Probe
+module Eng = Dct_engine.Engine
 
 let check = Alcotest.(check bool)
 
@@ -409,6 +417,119 @@ let test_audit_of_telemetry () =
             (report.Dct_analysis.Audit.steps > 0))
     [ Policy.Greedy_c1; Policy.Exact_max; Policy.Noncurrent ]
 
+(* --- telemetry does not change the engine's run --- *)
+
+(* Every report field but the wall clock is the same with and without a
+   tracer and a registry: telemetry does not change when barriers are
+   reaped, so cross-shard arcs are classified at the same points. *)
+let test_engine_report_untouched () =
+  let steps =
+    Gen.basic
+      { Gen.default with Gen.n_txns = 300; n_entities = 48; shards = 4; seed = 1 }
+  in
+  let report executor tracer =
+    let cfg = Eng.config ~tracer ~executor ~shards:4 ~batch:16 () in
+    { (Eng.run (Eng.create cfg) steps) with Eng.wall_seconds = 0. }
+  in
+  List.iter
+    (fun executor ->
+      let plain = report executor Tracer.disabled in
+      let traced =
+        report executor
+          (Tracer.create ~metrics:(Metrics.create ())
+             ~sink:(Sink.locked (Sink.memory (Buffer.create 4096)))
+             ())
+      in
+      let name = Eng.executor_name executor in
+      check (name ^ ": some arcs are cross-shard") true (plain.Eng.cross_shard_arcs > 0);
+      check (name ^ ": report identical with telemetry") true (plain = traced))
+    [ Eng.Inline; Eng.Replay 7; Eng.Domains ]
+
+(* --- per-model telemetry runs --- *)
+
+let events_of buf =
+  match Sink.parse_string (Buffer.contents buf) with
+  | Ok es -> es
+  | Error msg -> Alcotest.fail msg
+
+(* Run model [name] on [seed] under a tracer over [sink] and a fresh
+   registry; returns the registry. *)
+let metered ~sink (name, mk) seed =
+  let m = Metrics.create () in
+  let tracer = Tracer.create ~metrics:m ~sink () in
+  ignore (Driver.run ~tracer (mk tracer) (schedule_for name seed));
+  m
+
+let test_resident_bytes_peak () =
+  List.iter
+    (fun ((name, _) as model) ->
+      let buf = Buffer.create 4096 in
+      let m = metered ~sink:(Sink.memory buf) model 3 in
+      let hwm = Metrics.high_water m "graph.resident_bytes" in
+      List.iter
+        (function
+          | E.Checkpoint_stats s ->
+              if s.E.resident_bytes > hwm then
+                Alcotest.failf "%s: checkpoint at step %d holds %d bytes, hwm %d" name
+                  s.E.at_step s.E.resident_bytes hwm
+          | _ -> ())
+        (events_of buf))
+    models
+
+let test_deletion_counters () =
+  List.iter
+    (fun ((name, _) as model) ->
+      List.iter
+        (fun seed ->
+          let buf = Buffer.create 4096 in
+          let m = metered ~sink:(Sink.memory buf) model seed in
+          let sums = Hashtbl.create 4 in
+          let add policy what n =
+            let k = Printf.sprintf "deletion.%s.%s" policy what in
+            Hashtbl.replace sums k (n + Option.value ~default:0 (Hashtbl.find_opt sums k))
+          in
+          List.iter
+            (function
+              | E.Deletion_attempted { policy; candidates } ->
+                  add policy "attempted" (List.length candidates)
+              | E.Deletion_ok { policy; deleted } -> add policy "deleted" (List.length deleted)
+              | E.Deletion_blocked { policy; _ } -> add policy "blocked" 1
+              | _ -> ())
+            (events_of buf);
+          let counted =
+            List.filter
+              (fun (k, _) -> String.length k > 9 && String.sub k 0 9 = "deletion.")
+              (Metrics.counters m)
+          in
+          let from_events =
+            List.sort compare (List.of_seq (Hashtbl.to_seq sums))
+          in
+          check (Printf.sprintf "%s/%d: counters = event sums" name seed) true
+            (counted = from_events);
+          if name = "multiwrite" || name = "predeclared" then
+            check (name ^ ": its round was counted") true (counted <> []))
+        [ 3; 17 ])
+    models
+
+let test_metrics_only_tracer () =
+  let m = Metrics.create () in
+  let tracer = Tracer.create ~metrics:m () in
+  check "metrics-only tracer is inactive" false (Tracer.active tracer);
+  check "but enabled" true (Tracer.enabled tracer);
+  check "sink-less, registry-less tracer is disabled" false
+    (Tracer.enabled (Tracer.create ()));
+  List.iter
+    (fun ((name, _) as model) ->
+      let only = metered ~sink:Sink.null model 17 in
+      let traced = metered ~sink:(Sink.memory (Buffer.create 4096)) model 17 in
+      check (name ^ ": counters as traced") true
+        (Metrics.counters only = Metrics.counters traced);
+      check (name ^ ": gauges as traced") true (Metrics.gauges only = Metrics.gauges traced);
+      check (name ^ ": histograms as traced") true
+        (List.map (fun h -> (h, Metrics.histo_count only h)) (Metrics.histos only)
+        = List.map (fun h -> (h, Metrics.histo_count traced h)) (Metrics.histos traced)))
+    models
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -440,5 +561,16 @@ let () =
         [
           Alcotest.test_case "trace re-feeds the auditor" `Quick
             test_audit_of_telemetry;
+        ] );
+      ( "contract",
+        [
+          Alcotest.test_case "engine report unchanged by telemetry" `Quick
+            test_engine_report_untouched;
+          Alcotest.test_case "resident-bytes hwm covers every checkpoint" `Quick
+            test_resident_bytes_peak;
+          Alcotest.test_case "deletion counters match round events" `Quick
+            test_deletion_counters;
+          Alcotest.test_case "metrics-only tracer builds no event" `Quick
+            test_metrics_only_tracer;
         ] );
     ]
