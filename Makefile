@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is a thin wrapper over dune.
 
-.PHONY: all check build test oracle-test telemetry-test engine-test gc-test parallel-test check-hist net-test graph-test trace-smoke bench bench-smoke bench-latency bench-engine bench-engine-smoke bench-engine-par bench-engine-par-smoke bench-policy bench-policy-smoke bench-check bench-check-smoke bench-net bench-net-smoke bench-graph bench-graph-smoke clean
+.PHONY: all check build test longrun oracle-test telemetry-test engine-test gc-test parallel-test check-hist net-test graph-test trace-smoke bench bench-smoke bench-latency bench-engine bench-engine-smoke bench-engine-par bench-engine-par-smoke bench-policy bench-policy-smoke bench-check bench-check-smoke bench-net bench-net-smoke bench-graph bench-graph-smoke clean
 
 all: build
 
@@ -8,13 +8,23 @@ all: build
 # and the smoke sweeps that double as end-to-end differential checks
 # (oracle backends, sharded engine and its executors, deletability
 # index, history checker).
-check: build test trace-smoke bench-smoke bench-engine-smoke parallel-test bench-engine-par-smoke bench-policy-smoke check-hist bench-check-smoke net-test bench-net-smoke graph-test bench-graph-smoke
+check: build test longrun trace-smoke bench-smoke bench-engine-smoke parallel-test bench-engine-par-smoke bench-policy-smoke check-hist bench-check-smoke net-test bench-net-smoke graph-test bench-graph-smoke
 
 build:
 	dune build
 
 test:
 	dune runtest
+
+# The long-run gates.  The residency gate (also part of `dune runtest`)
+# drives every graph scheduler and the Inline engine over long seeded
+# runs and fails at the first gauge sample above its residency-derived
+# bound.  The timing gate runs 10^5 txns in the shapes of perfbench's
+# sched-churn and engine-tpcc and fails if the last decile's median
+# ns/step exceeds 1.2x the first decile's.
+longrun:
+	dune build @longrun
+	dune exec test/test_longrun.exe -- timing
 
 # Just the cycle-oracle differential + metamorphic suites — the tight
 # loop when hacking on a backend.

@@ -1074,7 +1074,8 @@ let trace_report path audit_on safety_depth strict =
          than a row in the oracle table. *)
       let gc = Hashtbl.create 4 in
       let checkpoints = ref [] in
-      let steps = ref 0 and cycles = ref 0 and restarts = ref 0 in
+      let steps = ref 0 and cycles = ref 0 and restarts = ref 0
+      and client_aborts = ref 0 in
       let del_bump policy f =
         let c, d, b =
           Option.value ~default:(0, 0, 0) (Hashtbl.find_opt deletions policy)
@@ -1110,6 +1111,7 @@ let trace_report path audit_on safety_depth strict =
               cell := ns :: !cell
           | E.Cycle_rejected _ -> incr cycles
           | E.Restart _ -> incr restarts
+          | E.Txn_aborted _ -> incr client_aborts
           | E.Checkpoint_stats s -> checkpoints := s :: !checkpoints)
         events;
       let checkpoints = List.rev !checkpoints in
@@ -1133,6 +1135,8 @@ let trace_report path audit_on safety_depth strict =
       if !cycles > 0 then
         Printf.printf "cycle rejections (with witness): %d\n" !cycles;
       if !restarts > 0 then Printf.printf "restarts scheduled: %d\n" !restarts;
+      if !client_aborts > 0 then
+        Printf.printf "aborts outside a step (client): %d\n" !client_aborts;
       if Hashtbl.length deletions > 0 then begin
         print_newline ();
         Dct_sim.Report.print_table

@@ -16,6 +16,7 @@ type decision = Accepted | Rejected | Ignored
 type event =
   | Decision of { index : int; step : Step.t; decision : decision }
   | Deletion of { index : int; deleted : Intset.t }
+  | Abort of { index : int; txn : int }
 
 type trace = event list
 
@@ -90,6 +91,12 @@ let of_telemetry events =
             | Error e -> Error (Printf.sprintf "decision at index %d: %s" index e)))
     | E.Deletion_ok { deleted; _ } :: rest ->
         go acc (Intset.of_list deleted :: pending) last_index rest
+    | E.Txn_aborted { txn; _ } :: rest ->
+        (* Written between steps: every deletion already seen came from
+           a decided step, so it lands first; the abort's own GC round
+           follows. *)
+        let acc = Abort { index = last_index; txn } :: flush pending last_index acc in
+        go acc [] last_index rest
     | ( E.Deletion_attempted _ | E.Deletion_blocked _ | E.Oracle_query _
       | E.Cycle_rejected _ | E.Restart _ | E.Checkpoint_stats _ )
       :: rest ->
@@ -214,6 +221,10 @@ let audit ?safety_depth trace =
             Reduced_graph.delete_set gs deleted;
             go rest
           end)
+    | Abort { txn; _ } :: rest ->
+        Gs.abort_txn gs txn;
+        rejected := Intset.add txn !rejected;
+        go rest
   in
   let finding =
     match go trace with

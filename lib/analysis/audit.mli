@@ -32,6 +32,11 @@ type event =
       (** [index] is the 0-based position of the step in the input. *)
   | Deletion of { index : int; deleted : Dct_graph.Intset.t }
       (** The policy deleted [deleted] right after step [index]. *)
+  | Abort of { index : int; txn : int }
+      (** [txn] was aborted after step [index] outside any step's
+          decision (a client abort); replayed as
+          {!Dct_deletion.Graph_state.abort_txn}, and its steps leave the
+          accepted schedule. *)
 
 type trace = event list
 
@@ -55,7 +60,8 @@ val of_telemetry : Dct_telemetry.Event.t list -> (trace, string) result
     {!Deletion} anchored {e after} the decision of the step whose
     processing produced it (the policy runs inside the scheduler's
     [step], so its events precede that step's [Decision] in the
-    stream); all other events are skipped.  Fails on a decision without
+    stream), and [Txn_aborted] becomes an {!Abort} placed after the
+    deletions seen so far; all other events are skipped.  Fails on a decision without
     its step, an unknown outcome, or a ["delayed"] decision — blocking
     schedulers cannot be replayed through the basic-model rules. *)
 

@@ -212,6 +212,7 @@ let feed_event (a : adapter) ?(line = 0) ev =
           | "rejected" -> emit_abort a.em ~line txn
           | "ignored" -> ()
           | _ -> a.foreign <- a.foreign + 1))
+  | E.Txn_aborted { txn; _ } -> emit_abort a.em ~line txn
   | E.Deletion_attempted _ | E.Deletion_ok _ | E.Deletion_blocked _
   | E.Oracle_query _ | E.Cycle_rejected _ | E.Restart _ | E.Checkpoint_stats _
     ->

@@ -57,6 +57,17 @@ type txn = { db : t; id : int; mutable status : status }
 
 type error = Aborted | Txn_done
 
+(* A transaction's accesses so far, read while it is still in the
+   scheduler's graph state: what an abort must clear from the store
+   (its reader marks; its writes, if any were installed). *)
+let footprint txn =
+  let gs = Cs.graph_state txn.db.sched in
+  if Gs.mem_txn gs txn.id then Gs.accesses gs txn.id else Dct_txn.Access.empty
+
+let undo txn footprint =
+  Store.undo_writes txn.db.store_ ~txn:txn.id
+    ~entities:(Dct_txn.Access.entities footprint)
+
 let pp_error ppf = function
   | Aborted -> Format.pp_print_string ppf "aborted"
   | Txn_done -> Format.pp_print_string ppf "transaction already finished"
@@ -76,11 +87,13 @@ let read txn entity =
   match txn.status with
   | Done -> Error Txn_done
   | Running -> (
+      let before = footprint txn in
       match Cs.step txn.db.sched (Step.Read (txn.id, entity)) with
       | Si.Accepted ->
           Ok (Store.read txn.db.store_ ~entity ~reader:txn.id).Dct_kv.Version_log.value
       | Si.Rejected | Si.Ignored ->
           txn.status <- Done;
+          undo txn before;
           journal txn.db (Wal.Abort { txn = txn.id });
           truncate_wal txn.db;
           Error Aborted
@@ -91,6 +104,7 @@ let commit txn ~writes =
   | Done -> Error Txn_done
   | Running -> (
       txn.status <- Done;
+      let before = footprint txn in
       let entities = List.map fst writes in
       match Cs.step txn.db.sched (Step.Write (txn.id, entities)) with
       | Si.Accepted ->
@@ -103,6 +117,7 @@ let commit txn ~writes =
           truncate_wal txn.db;
           Ok ()
       | Si.Rejected | Si.Ignored ->
+          undo txn before;
           journal txn.db (Wal.Abort { txn = txn.id });
           truncate_wal txn.db;
           Error Aborted
@@ -113,8 +128,8 @@ let abort txn =
   | Done -> ()
   | Running ->
       txn.status <- Done;
+      undo txn (footprint txn);
       Gs.abort_txn (Cs.graph_state txn.db.sched) txn.id;
-      Store.undo_writes txn.db.store_ ~txn:txn.id;
       ignore (Cs.collect_garbage txn.db.sched);
       journal txn.db (Wal.Abort { txn = txn.id });
       truncate_wal txn.db

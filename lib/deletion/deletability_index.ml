@@ -225,7 +225,10 @@ let refresh_entity t e =
   in
   Intset.iter (fun ti -> if not (Intset.mem ti cur) then bump t ti (-1)) old;
   Intset.iter (fun ti -> if not (Intset.mem ti old) then bump t ti 1) cur;
-  Hashtbl.replace t.current_of e cur
+  (* An entity with no current accessor keeps no entry, so the table is
+     bounded by the residents' footprints, not the entities ever seen. *)
+  if Intset.is_empty cur then Hashtbl.remove t.current_of e
+  else Hashtbl.replace t.current_of e cur
 
 let check t ti =
   t.stats.rechecks <- t.stats.rechecks + 1;

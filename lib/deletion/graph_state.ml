@@ -54,6 +54,11 @@ type t = {
   mutable deps : Intset.t array; (* slot -> providers it read from (ids) *)
   mutable rev_deps : Intset.t array; (* slot -> dependents (ids) *)
   einfos : (int, einfo) Hashtbl.t;
+      (* entities with at least one present accessor: an entry whose
+         history empties is removed, since [last_write_seq] and
+         [tombstone_write_seq] filter nothing without a history *)
+  mutable history_len : int; (* sum of the histories' lengths *)
+  mutable active : int; (* present transactions in state Active *)
   aborted : (int, unit) Hashtbl.t;
   deleted : (int, unit) Hashtbl.t;
       (* ids forgotten by the reduction D(G,T) — kept so auditors can
@@ -75,6 +80,8 @@ let create ?(oracle = Cycle_oracle.Topo) ?(tracer = Tracer.disabled) () =
     deps = [||];
     rev_deps = [||];
     einfos = Hashtbl.create 64;
+    history_len = 0;
+    active = 0;
     aborted = Hashtbl.create 16;
     deleted = Hashtbl.create 16;
     seq = 0;
@@ -119,6 +126,8 @@ let copy t =
     deps = Array.copy t.deps;
     rev_deps = Array.copy t.rev_deps;
     einfos;
+    history_len = t.history_len;
+    active = t.active;
     aborted = Hashtbl.copy t.aborted;
     deleted = Hashtbl.copy t.deleted;
     seq = t.seq;
@@ -154,6 +163,7 @@ let begin_txn ?declared t id =
   let s = Arena.alloc t.arena id in
   grow_stores t (s + 1);
   t.recs.(s) <- Some (Transaction.create ?declared id);
+  t.active <- t.active + 1;
   Cycle_oracle.add_node t.oracle id;
   notify t (Txn_began id)
 
@@ -164,8 +174,14 @@ let txn t id =
 
 let state t id = (txn t id).Transaction.state
 
+(* The only state mutator, so the active count stays exact. *)
 let set_state t id s =
-  (txn t id).Transaction.state <- s;
+  let r = txn t id in
+  let was = Transaction.is_active r.Transaction.state in
+  let now = Transaction.is_active s in
+  if was && not now then t.active <- t.active - 1
+  else if now && not was then t.active <- t.active + 1;
+  r.Transaction.state <- s;
   notify t (State_changed id)
 
 let accesses t id = (txn t id).Transaction.accesses
@@ -195,6 +211,7 @@ let active_txns t = filter_txns t Transaction.is_active
 let completed_txns t = filter_txns t Transaction.is_completed
 let all_txns t = filter_txns t (fun _ -> true)
 let txn_count t = Arena.live t.arena
+let active_count t = t.active
 
 (* Entity index *)
 
@@ -211,6 +228,7 @@ let record_access t ~txn:id ~entity ~mode =
   t.seq <- t.seq + 1;
   let info = einfo t entity in
   info.history <- (id, mode, t.seq) :: info.history;
+  t.history_len <- t.history_len + 1;
   if mode = Access.Write then info.last_write_seq <- t.seq;
   notify t (Access_recorded { txn = id; entity; mode })
 
@@ -304,32 +322,41 @@ let is_acyclic t = Traversal.is_acyclic (graph t)
 
 (* Removal *)
 
+(* Visits only the leaving transaction's own entities: every history
+   entry of [id] is on an entity of its access set ([record_access]
+   performs before it logs), and the access set is still readable
+   because this runs before [release_txn]. *)
 let drop_entity_entries t id ~tombstone =
-  Hashtbl.iter
-    (fun _ info ->
-      let mine, others =
-        List.partition (fun (id', _, _) -> id' = id) info.history
-      in
-      if mine <> [] then begin
-        info.history <- others;
-        if tombstone then
-          List.iter
-            (fun (_, mode, seq) ->
-              if mode = Access.Write then
-                info.tombstone_write_seq <- max info.tombstone_write_seq seq)
-            mine
-        else begin
-          (* Aborted writes are undone: the current value reverts. *)
-          let max_write =
-            List.fold_left
-              (fun acc (_, mode, seq) ->
-                if mode = Access.Write then max acc seq else acc)
-              info.tombstone_write_seq others
+  Access.iter
+    (fun ~entity ~mode:_ ->
+      match Hashtbl.find_opt t.einfos entity with
+      | None -> ()
+      | Some info ->
+          let mine, others =
+            List.partition (fun (id', _, _) -> id' = id) info.history
           in
-          info.last_write_seq <- max_write
-        end
-      end)
-    t.einfos
+          t.history_len <- t.history_len - List.length mine;
+          if others = [] then Hashtbl.remove t.einfos entity
+          else begin
+            info.history <- others;
+            if tombstone then
+              List.iter
+                (fun (_, mode, seq) ->
+                  if mode = Access.Write then
+                    info.tombstone_write_seq <- max info.tombstone_write_seq seq)
+                mine
+            else begin
+              (* Aborted writes are undone: the current value reverts. *)
+              let max_write =
+                List.fold_left
+                  (fun acc (_, mode, seq) ->
+                    if mode = Access.Write then max acc seq else acc)
+                  info.tombstone_write_seq others
+              in
+              info.last_write_seq <- max_write
+            end
+          end)
+    (accesses t id)
 
 let drop_deps t s ~id =
   Intset.iter
@@ -353,6 +380,10 @@ let release_txn t id =
   match Arena.find t.arena id with
   | None -> ()
   | Some s ->
+      (match t.recs.(s) with
+      | Some r when Transaction.is_active r.Transaction.state ->
+          t.active <- t.active - 1
+      | _ -> ());
       t.recs.(s) <- None;
       drop_deps t s ~id;
       ignore (Arena.release t.arena id)
@@ -419,9 +450,10 @@ let delete_with_bypass t ti =
    record/dependency stores and the entity index.  The audit tombstone
    sets ([aborted]/[deleted]) are deliberately excluded: they are a
    historical record for auditors, not resident graph state.
-   Everything here is derived from capacities and live counts, so
-   replicas driven by identical operation sequences report identical
-   values. *)
+   Everything here is derived from capacities and maintained counts
+   (six words per entity entry, four per history entry), so the read
+   is O(1) and replicas driven by identical operation sequences report
+   identical values. *)
 let resident_bytes t =
   let store_bytes =
     8
@@ -429,9 +461,7 @@ let resident_bytes t =
      + (16 * Arena.live t.arena))
   in
   let entity_bytes =
-    Hashtbl.fold
-      (fun _ info acc -> acc + 8 * (6 + (4 * List.length info.history)))
-      t.einfos 0
+    8 * ((6 * Hashtbl.length t.einfos) + (4 * t.history_len))
   in
   Cycle_oracle.bytes t.oracle + Arena.bytes t.arena + store_bytes
   + entity_bytes
@@ -447,16 +477,35 @@ let check_invariants t =
       (Format.asprintf "%a" Intset.pp records)
   else if not (Traversal.is_acyclic g) then err "graph is cyclic"
   else begin
-    let bad_history = ref None in
+    let bad_history = ref None and entries = ref 0 in
     Hashtbl.iter
       (fun e info ->
-        List.iter
-          (fun (id, _, _) ->
-            if not (mem_txn t id) then bad_history := Some (e, id))
-          info.history)
+        if info.history = [] then bad_history := Some (e, "has an empty history")
+        else
+          List.iter
+            (fun (id, _, _) ->
+              incr entries;
+              match find_rec t id with
+              | None ->
+                  bad_history :=
+                    Some (e, Printf.sprintf "history mentions absent T%d" id)
+              | Some r when not (Access.mem r.Transaction.accesses ~entity:e)
+                ->
+                  bad_history :=
+                    Some
+                      ( e,
+                        Printf.sprintf
+                          "history mentions T%d, which never accessed it" id )
+              | Some _ -> ())
+            info.history)
       t.einfos;
+    let actives = Intset.cardinal (active_txns t) in
     match !bad_history with
-    | Some (e, id) -> err "entity %d history mentions absent T%d" e id
+    | Some (e, what) -> err "entity %d %s" e what
+    | None when !entries <> t.history_len ->
+        err "history count %d <> %d entries" t.history_len !entries
+    | None when actives <> t.active ->
+        err "active count %d <> %d active transactions" t.active actives
     | None -> (
         let bad_dep = ref None in
         Arena.iter

@@ -85,6 +85,10 @@ val txn : t -> int -> Dct_txn.Transaction.t
 
 val state : t -> int -> Dct_txn.Transaction.state
 val set_state : t -> int -> Dct_txn.Transaction.state -> unit
+(** The only way to change a present transaction's state; writing the
+    record returned by {!txn} directly would desynchronise
+    {!active_count}. *)
+
 val accesses : t -> int -> Dct_txn.Access.t
 
 val is_active : t -> int -> bool
@@ -97,6 +101,11 @@ val active_txns : t -> Dct_graph.Intset.t
 val completed_txns : t -> Dct_graph.Intset.t
 val all_txns : t -> Dct_graph.Intset.t
 val txn_count : t -> int
+
+val active_count : t -> int
+(** [Intset.cardinal (active_txns t)] in O(1): a count maintained by
+    {!begin_txn}, {!set_state} (the only state mutator) and the
+    removals.  {!check_invariants} recounts it. *)
 
 (** {1 Accesses and the entity index} *)
 
@@ -117,7 +126,12 @@ val current_accessors : t -> entity:int -> Dct_graph.Intset.t
     since.  Powers Corollary 1's noncurrent test. *)
 
 val entities : t -> Dct_graph.Intset.t
-(** Entities touched so far. *)
+(** Entities with at least one {e present} accessor.  An entity whose
+    last present accessor is aborted or deleted leaves the index: with
+    no history left, its write marks filter nothing, so every query
+    answers for it exactly as for an entity never touched.  A retired
+    entity therefore behaves as a fresh one, and this set — unlike the
+    entities ever touched — is bounded by the residents' footprints. *)
 
 val access_history : t -> entity:int -> (int * Dct_txn.Access.mode * int) list
 (** Raw per-entity access log of {e present} transactions, newest first:
@@ -165,7 +179,9 @@ val would_cycle : t -> into:int -> sources:Dct_graph.Intset.t -> bool
 val abort_txn : t -> int -> unit
 (** Plain removal: node and incident arcs disappear (no bypass), the
     transaction is dropped from indexes, state bookkeeping forgets it.
-    This is what happens to a transaction whose step is rejected. *)
+    This is what happens to a transaction whose step is rejected.
+    Apart from the oracle's own removal, the cost is O(the transaction's
+    own footprint): only the entities in its access set are visited. *)
 
 val was_aborted : t -> int -> bool
 (** Has this id been {!abort_txn}-ed before?  Later steps of an aborted
@@ -194,17 +210,20 @@ val resident_bytes : t -> int
     the oracle (which holds the conflict graph, counted once),
     slot-indexed transaction and dependency stores, and the entity
     index.  The audit tombstone sets ({!aborted_txns}/{!deleted_txns})
-    are excluded — they record history, not resident state.  Derived from capacities and live
-    counts only, so two replicas driven by identical operation
-    sequences report identical values (the engine's executors and the
-    socket server depend on this for byte-identical traces). *)
+    are excluded — they record history, not resident state.  Derived
+    from capacities and maintained counts only (the entity index adds
+    six words per entity entry and four per history entry, without a
+    walk), so the read is O(1), and two replicas driven by identical
+    operation sequences report identical values (the engine's
+    executors and the socket server depend on this for byte-identical
+    traces). *)
 
 (** {1 Internal — used by {!Reduced_graph}} *)
 
 val forget_txn_record : t -> int -> unit
 (** Remove the payload and index entries of a node already detached from
-    the graph.  Does not touch current-accessor history (deletion must
-    not rewrite database facts). *)
+    the graph, in O(its own footprint).  Does not touch current-accessor
+    history (deletion must not rewrite database facts). *)
 
 val delete_with_bypass : t -> int -> unit
 (** The reduction [D(G, T)] on the oracle
@@ -214,8 +233,10 @@ val delete_with_bypass : t -> int -> unit
 
 val check_invariants : t -> (unit, string) result
 (** Structural self-check, used by the fuzzing tests: graph nodes =
-    transaction records; the graph is acyclic; per-entity histories
-    mention only present transactions; the dependency maps are mutually
-    consistent and mention only present transactions. *)
+    transaction records; the graph is acyclic; per-entity histories are
+    non-empty and mention only present transactions whose access sets
+    hold the entity (what footprint removal relies on); the maintained
+    history and active counts match a recount; the dependency maps are
+    mutually consistent and mention only present transactions. *)
 
 val pp : Format.formatter -> t -> unit

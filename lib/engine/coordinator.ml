@@ -48,7 +48,7 @@ let stats t =
   {
     resident_txns = Gs.txn_count t.gs;
     resident_arcs = Digraph.arc_count (Gs.graph t.gs);
-    active_txns = Intset.cardinal (Gs.active_txns t.gs);
+    active_txns = Gs.active_count t.gs;
     resident_hwm = t.resident_hwm;
     deleted_total = t.deleted_total;
     resident_bytes = Gs.resident_bytes t.gs;

@@ -605,10 +605,15 @@ let tick t =
    hosting shard undoes its copy — the same teardown as a rejection,
    minus the rejected step.  Steps of the transaction still sitting in
    the admission queue will be decided [Ignored] when their batch
-   flushes, exactly as post-rejection steps are. *)
+   flushes, exactly as post-rejection steps are.  No step decision
+   records this abort, so a traced run writes it as its own event,
+   ahead of the GC round it triggers: replaying the trace must abort
+   the transaction before that round's deletions. *)
 let abort t txn =
   let gs = Coordinator.graph_state t.coordinator in
   if Gs.is_active gs txn then begin
+    Tracer.event t.cfg.tracer (fun () ->
+        Event.Txn_aborted { txn; reason = "client" });
     Gs.abort_txn gs txn;
     abort_everywhere t txn;
     broadcast_deletions t (Coordinator.collect_garbage t.coordinator);

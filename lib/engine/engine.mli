@@ -161,7 +161,10 @@ val abort : t -> int -> bool
     is now aborted everywhere (coordinator graph and every hosting
     shard); [false] (a no-op) for unknown, completed, or already
     aborted transactions.  Queued steps of the transaction are decided
-    [Ignored] when their batch flushes. *)
+    [Ignored] when their batch flushes.  A traced run records the abort
+    as a [Txn_aborted] event (reason ["client"]: an explicit abort or a
+    disconnected client's orphan) ahead of the GC round it triggers, so
+    the auditor and the history checker replay it. *)
 
 val steps_processed : t -> int
 

@@ -17,6 +17,11 @@ type t = {
   index : Dindex.t option;
       (* per-shard index over the projected graph — projections are
          small, so dirty regions are too (the sharded sweet spot) *)
+  footprints : (int, Intset.t) Hashtbl.t;
+      (* hosted txn -> the shard entities it accessed: what its removal
+         visits in the store.  An entry dies when the transaction is
+         aborted or deleted here, so the table is bounded by the
+         shard's residency. *)
   mutable last_arcs : (int * int) list;
   mutable resident_hwm : int;
   mutable hosted_total : int;
@@ -39,6 +44,7 @@ let create ~id ~policy ?gc_index () =
     wal = Wal.create ();
     policy;
     index;
+    footprints = Hashtbl.create 64;
     last_arcs = [];
     resident_hwm = 0;
     hosted_total = 0;
@@ -54,6 +60,21 @@ let store t = t.store
 let wal t = t.wal
 let hosts t txn = Gs.mem_txn t.gs txn
 let last_arcs t = t.last_arcs
+let footprints t = Hashtbl.length t.footprints
+
+let touch t txn entity =
+  let fp =
+    Option.value ~default:Intset.empty (Hashtbl.find_opt t.footprints txn)
+  in
+  Hashtbl.replace t.footprints txn (Intset.add entity fp)
+
+(* Remove [txn]'s entry, returning its footprint. *)
+let take_footprint t txn =
+  match Hashtbl.find_opt t.footprints txn with
+  | Some fp ->
+      Hashtbl.remove t.footprints txn;
+      fp
+  | None -> Intset.empty
 
 let note_residency t =
   t.resident_hwm <- max t.resident_hwm (Gs.txn_count t.gs)
@@ -87,6 +108,7 @@ let apply_read t ~txn ~entity =
   let sources = Intset.remove txn (Gs.present_writers t.gs ~entity) in
   add_arcs t ~into:txn sources;
   Gs.record_access t.gs ~txn ~entity ~mode:Access.Read;
+  touch t txn entity;
   ignore (Store.read t.store ~entity ~reader:txn)
 
 let apply_write t ~txn ~entities ~value =
@@ -103,6 +125,7 @@ let apply_write t ~txn ~entities ~value =
   List.iter
     (fun entity ->
       Gs.record_access t.gs ~txn ~entity ~mode:Access.Write;
+      touch t txn entity;
       Store.write t.store ~entity ~writer:txn ~value;
       ignore (Wal.append t.wal (Wal.Write { txn; entity; value })))
     entities
@@ -117,14 +140,17 @@ let complete t txn =
 let abort t txn =
   if Gs.mem_txn t.gs txn then begin
     Gs.abort_txn t.gs txn;
-    Store.undo_writes t.store ~txn;
+    Store.undo_writes t.store ~txn ~entities:(take_footprint t txn);
     t.aborted <- t.aborted + 1;
     ignore (Wal.append t.wal (Wal.Abort { txn }));
     truncate_log t
   end
 
 let forget_from_store t deleted =
-  Intset.iter (fun txn -> Store.forget_txn t.store ~txn) deleted
+  Intset.iter
+    (fun txn ->
+      Store.forget_txn t.store ~txn ~entities:(take_footprint t txn))
+    deleted
 
 let collect_garbage t =
   let deleted = Policy.run ?index:t.index t.policy t.gs in
@@ -170,7 +196,7 @@ let stats t =
   {
     resident_txns = Gs.txn_count t.gs;
     resident_arcs = Digraph.arc_count (Gs.graph t.gs);
-    active_txns = Intset.cardinal (Gs.active_txns t.gs);
+    active_txns = Gs.active_count t.gs;
     resident_hwm = t.resident_hwm;
     hosted_total = t.hosted_total;
     committed = t.committed;

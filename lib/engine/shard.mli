@@ -59,6 +59,12 @@ val apply_write : t -> txn:int -> entities:int list -> value:int -> unit
     arcs (present local accessors -> txn), accesses, store writes (all
     installing [value]) and WAL records. *)
 
+val footprints : t -> int
+(** Hosted transactions with a recorded footprint (the shard entities
+    each accessed, which its abort or deletion visits in the store).
+    Entries die with the transaction here, so this is bounded by the
+    shard's residency. *)
+
 val last_arcs : t -> (int * int) list
 (** The (src, dst) conflict arcs added by the most recent
     {!apply_read}/{!apply_write} — the engine classifies them as
@@ -70,12 +76,14 @@ val complete : t -> int -> unit
 
 val abort : t -> int -> unit
 (** The transaction was aborted globally: plain local removal, store
-    write undo, WAL abort record, log truncation. *)
+    undo (its versions and reader marks, on its own entities only), WAL
+    abort record, log truncation. *)
 
 val collect_garbage : t -> Dct_graph.Intset.t
 (** Run the shard's own deletion policy on the local graph; forget
-    deleted transactions from the store's reader sets and truncate the
-    WAL.  Returns the locally deleted set. *)
+    deleted transactions in the store (reader marks, and the versions
+    older than each one's own, on its own entities only) and truncate
+    the WAL.  Returns the locally deleted set. *)
 
 val apply_global_deletions : t -> Dct_graph.Intset.t -> Dct_graph.Intset.t
 (** Force-delete (with bypass) every hosted member of the coordinator's

@@ -3,10 +3,14 @@ module Intset = Dct_graph.Intset
 type t = {
   default : int;
   logs : (int, Version_log.t) Hashtbl.t;
+      (* a log whose chain is back to the bare initial version (no
+         write, no reader) is removed: a later access recreates it *)
+  mutable versions : int; (* sum of the chains' lengths *)
   mutable seq : int; (* global version sequence *)
 }
 
-let create ?(default = 0) () = { default; logs = Hashtbl.create 64; seq = 0 }
+let create ?(default = 0) () =
+  { default; logs = Hashtbl.create 64; versions = 0; seq = 0 }
 
 let log t entity =
   match Hashtbl.find_opt t.logs entity with
@@ -14,15 +18,20 @@ let log t entity =
   | None ->
       let l = Version_log.create ~initial:t.default in
       Hashtbl.replace t.logs entity l;
+      t.versions <- t.versions + 1;
       l
 
 let read t ~entity ~reader = Version_log.read_current (log t entity) ~reader
 
 let write t ~entity ~writer ~value =
   t.seq <- t.seq + 1;
-  ignore (Version_log.install (log t entity) ~writer ~value ~seq:t.seq)
+  ignore (Version_log.install (log t entity) ~writer ~value ~seq:t.seq);
+  t.versions <- t.versions + 1
 
-let peek t ~entity = (Version_log.current (log t entity)).Version_log.value
+let peek t ~entity =
+  match Hashtbl.find_opt t.logs entity with
+  | None -> t.default
+  | Some l -> (Version_log.current l).Version_log.value
 
 let current_writer t ~entity =
   match Hashtbl.find_opt t.logs entity with
@@ -41,11 +50,32 @@ let txn_is_current t ~txn ~entities =
       || Intset.mem txn (current_readers t ~entity))
     entities
 
-let undo_writes t ~txn =
-  Hashtbl.iter (fun _ l -> Version_log.remove_writer l txn) t.logs
+(* A removal visits only the chains of the transaction's own entities,
+   re-counts each and retires it once it is pristine again. *)
+let visit t entities f =
+  Intset.iter
+    (fun entity ->
+      match Hashtbl.find_opt t.logs entity with
+      | None -> ()
+      | Some l ->
+          let before = Version_log.length l in
+          f l;
+          t.versions <- t.versions + Version_log.length l - before;
+          if Version_log.pristine l then begin
+            Hashtbl.remove t.logs entity;
+            t.versions <- t.versions - 1
+          end)
+    entities
 
-let forget_txn t ~txn =
-  Hashtbl.iter (fun _ l -> Version_log.forget_reader l txn) t.logs
+let undo_writes t ~txn ~entities =
+  visit t entities (fun l ->
+      Version_log.remove_writer l txn;
+      Version_log.forget_reader l txn)
+
+let forget_txn t ~txn ~entities =
+  visit t entities (fun l ->
+      Version_log.prune_before l txn;
+      Version_log.forget_reader l txn)
 
 let entities t =
   Hashtbl.fold (fun e _ acc -> Intset.add e acc) t.logs Intset.empty
@@ -55,8 +85,12 @@ let version_count t ~entity =
   | None -> 0
   | Some l -> Version_log.length l
 
-let total_versions t =
-  Hashtbl.fold (fun _ l acc -> acc + Version_log.length l) t.logs 0
+let total_versions t = t.versions
 
 let truncate_history t ~keep =
-  Hashtbl.iter (fun _ l -> Version_log.truncate l ~keep) t.logs
+  Hashtbl.iter
+    (fun _ l ->
+      let before = Version_log.length l in
+      Version_log.truncate l ~keep;
+      t.versions <- t.versions + Version_log.length l - before)
+    t.logs

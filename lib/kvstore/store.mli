@@ -32,20 +32,36 @@ val txn_is_current : t -> txn:int -> entities:Dct_graph.Intset.t -> bool
     (Corollary 1: if not, the completed transaction is "noncurrent" and
     can always be deleted.) *)
 
-val undo_writes : t -> txn:int -> unit
-(** Remove every version written by [txn] from every chain (abort). *)
+(** {1 Removal}
 
-val forget_txn : t -> txn:int -> unit
-(** Erase a transaction from all reader sets (when it is deleted and
-    bookkeeping should shrink). *)
+    Both removals take the transaction's footprint, [~entities] (every
+    entity it read or wrote here), and visit only those chains: a
+    removal costs O(footprint), however many entities the store holds.
+    A chain left with nothing but its bare initial version (no write,
+    no reader) is dropped, which a later access cannot tell from a
+    fresh chain. *)
+
+val undo_writes : t -> txn:int -> entities:Dct_graph.Intset.t -> unit
+(** Abort: remove every version written by [txn] from the chains of
+    [entities], and erase [txn] from their reader sets, so an aborted
+    reader leaves no mark. *)
+
+val forget_txn : t -> txn:int -> entities:Dct_graph.Intset.t -> unit
+(** Deletion of a committed transaction: erase [txn] from the reader
+    sets of [entities]'s chains, and drop every version older than
+    [txn]'s newest version on each.  [txn] is committed, so no undo can
+    remove its version, and nothing older can become current again
+    ({!peek} is unchanged); undoing a later writer still restores
+    [txn]'s value. *)
 
 val entities : t -> Dct_graph.Intset.t
-(** Entities that have been touched at least once. *)
+(** Entities holding a written version or a reader mark. *)
 
 val version_count : t -> entity:int -> int
 
 val total_versions : t -> int
-(** Sum of all chain lengths — a memory-residency metric. *)
+(** Sum of all chain lengths — a memory-residency metric; a maintained
+    count, O(1). *)
 
 val truncate_history : t -> keep:int -> unit
 (** Keep the [keep] newest versions of every entity. *)

@@ -33,12 +33,25 @@ let remove_writer t w =
   (* The initial version has writer None and thus always survives. *)
   t.chain <- remaining
 
+let prune_before t w =
+  let rec upto newer = function
+    | [] -> () (* [w] wrote no version here *)
+    | v :: _ when v.writer = Some w -> t.chain <- List.rev (v :: newer)
+    | v :: older -> upto (v :: newer) older
+  in
+  upto [] t.chain
+
 let forget_reader t r =
   List.iter (fun v -> v.readers <- Intset.remove r v.readers) t.chain
 
 let versions t = t.chain
 
 let length t = List.length t.chain
+
+let pristine t =
+  match t.chain with
+  | [ { writer = None; readers; _ } ] -> Intset.is_empty readers
+  | _ -> false
 
 let truncate t ~keep =
   let keep = max 1 keep in

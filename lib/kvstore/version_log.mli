@@ -38,6 +38,17 @@ val remove_writer : t -> int -> unit
 val forget_reader : t -> int -> unit
 (** Erase a transaction from every version's reader set. *)
 
+val prune_before : t -> int -> unit
+(** Drop every version older than the newest one the given transaction
+    wrote; a no-op when it wrote none here.  Sound once that writer is
+    committed: no undo can remove its version, so nothing older can be
+    current again. *)
+
+val pristine : t -> bool
+(** Is the chain back to its bare initial version, with no reader
+    recorded on it?  Such a chain is indistinguishable from a fresh
+    one. *)
+
 val versions : t -> version list
 (** Newest first; always non-empty. *)
 

@@ -1,6 +1,7 @@
 module Intset = Dct_graph.Intset
 module Digraph = Dct_graph.Digraph
 module Step = Dct_txn.Step
+module Access = Dct_txn.Access
 module Gs = Dct_deletion.Graph_state
 module Rules = Dct_deletion.Rules
 module Policy = Dct_deletion.Policy
@@ -64,14 +65,24 @@ let apply_store t step =
 
 let step t s =
   t.steps <- t.steps + 1;
+  let txn = Step.txn s in
+  (* What an abort must undo in the store: the access set as it stands
+     before the step, while the transaction is still in the graph. *)
+  let footprint =
+    match t.store with
+    | Some _ when Gs.mem_txn t.gs txn -> Gs.accesses t.gs txn
+    | _ -> Access.empty
+  in
   match Rules.apply t.gs s with
   | Rules.Ignored -> Scheduler_intf.Ignored
   | Rules.Rejected ->
       t.aborted <- t.aborted + 1;
       (match t.store with
-      | Some store -> Dct_kv.Store.undo_writes store ~txn:(Step.txn s)
+      | Some store ->
+          Dct_kv.Store.undo_writes store ~txn
+            ~entities:(Access.entities footprint)
       | None -> ());
-      log t (Dct_kv.Wal.Abort { txn = Step.txn s });
+      log t (Dct_kv.Wal.Abort { txn });
       (* An abort removes an active transaction, which can only enlarge
          the eligible set — give the policy a chance right away. *)
       let deleted = Policy.run ?index:t.index t.policy t.gs in
@@ -106,7 +117,7 @@ let stats t =
   {
     Scheduler_intf.resident_txns = Gs.txn_count t.gs;
     resident_arcs = Digraph.arc_count (Gs.graph t.gs);
-    active_txns = Intset.cardinal (Gs.active_txns t.gs);
+    active_txns = Gs.active_count t.gs;
     committed_total = t.committed;
     aborted_total = t.aborted;
     deleted_total = t.deleted;

@@ -54,7 +54,8 @@ let abort_cascade t txn =
   let doomed = Gs.dependents_closure t.gs (Intset.singleton txn) in
   Intset.iter
     (fun v ->
-      Dct_kv.Store.undo_writes t.store ~txn:v;
+      Dct_kv.Store.undo_writes t.store ~txn:v
+        ~entities:(Access.entities (Gs.accesses t.gs v));
       Gs.abort_txn t.gs v)
     doomed;
   t.aborted <- t.aborted + Intset.cardinal doomed;
@@ -92,7 +93,7 @@ let run_deletion t =
   match t.deletion with
   | No_deletion -> ()
   | C3_exact cap ->
-      if Intset.cardinal (Gs.active_txns t.gs) <= cap then begin
+      if Gs.active_count t.gs <= cap then begin
         let holds v =
           let ok = C3.holds t.gs v in
           (if t.gc_index = Some Dindex.Checked && C3.quick_reject t.gs v && ok
@@ -180,7 +181,7 @@ let stats t =
   {
     Scheduler_intf.resident_txns = Gs.txn_count t.gs;
     resident_arcs = Digraph.arc_count (Gs.graph t.gs);
-    active_txns = Intset.cardinal (Gs.active_txns t.gs);
+    active_txns = Gs.active_count t.gs;
     committed_total = t.committed;
     aborted_total = t.aborted;
     deleted_total = t.deleted;

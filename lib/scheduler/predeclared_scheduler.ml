@@ -211,7 +211,7 @@ let stats t =
   {
     Scheduler_intf.resident_txns = Gs.txn_count t.gs;
     resident_arcs = Digraph.arc_count (Gs.graph t.gs);
-    active_txns = Intset.cardinal (Gs.active_txns t.gs);
+    active_txns = Gs.active_count t.gs;
     committed_total = t.committed;
     aborted_total = 0;
     deleted_total = t.deleted;

@@ -21,6 +21,7 @@ type t =
   | Oracle_query of { op : string; backend : string; ns : float }
   | Cycle_rejected of { txn : int; witness : int list }
   | Restart of { txn : int; attempt : int }
+  | Txn_aborted of { txn : int; reason : string }
   | Checkpoint_stats of stats_snapshot
 
 let equal (a : t) (b : t) = a = b
@@ -61,6 +62,9 @@ let to_json = function
   | Restart { txn; attempt } ->
       Printf.sprintf "{\"ev\":\"restart\",\"txn\":%d,\"attempt\":%d}" txn
         attempt
+  | Txn_aborted { txn; reason } ->
+      Printf.sprintf "{\"ev\":\"txn_aborted\",\"txn\":%d,\"reason\":\"%s\"}"
+        txn (escape reason)
   | Checkpoint_stats s ->
       Printf.sprintf
         "{\"ev\":\"checkpoint\",\"i\":%d,\"resident_txns\":%d,\"resident_arcs\":%d,\"active_txns\":%d,\"committed\":%d,\"aborted\":%d,\"deleted\":%d,\"delayed\":%d,\"resident_bytes\":%d}"
@@ -106,6 +110,7 @@ let of_json line =
     | "cycle_rejected" ->
         Cycle_rejected { txn = int "txn"; witness = ints "witness" }
     | "restart" -> Restart { txn = int "txn"; attempt = int "attempt" }
+    | "txn_aborted" -> Txn_aborted { txn = int "txn"; reason = str "reason" }
     | "checkpoint" ->
         Checkpoint_stats
           {
@@ -137,6 +142,7 @@ let kind = function
   | Oracle_query _ -> "oracle"
   | Cycle_rejected _ -> "cycle_rejected"
   | Restart _ -> "restart"
+  | Txn_aborted _ -> "txn_aborted"
   | Checkpoint_stats _ -> "checkpoint"
 
 let pp ppf e = Format.pp_print_string ppf (to_json e)

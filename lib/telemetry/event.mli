@@ -58,6 +58,13 @@ type t =
   | Restart of { txn : int; attempt : int }
       (** The restart harness re-enqueued original transaction [txn]
           for its [attempt]-th execution. *)
+  | Txn_aborted of { txn : int; reason : string }
+      (** [txn] was aborted outside any step's decision, before the GC
+          round that abort triggers.  The engine writes [reason]
+          ["client"] for an explicit client abort and for a
+          disconnected client's orphans.  The auditor replays it as
+          [Graph_state.abort_txn]; the history checker reads it as an
+          abort. *)
   | Checkpoint_stats of stats_snapshot
       (** Periodic residency/throughput snapshot from the driver. *)
 

@@ -293,6 +293,68 @@ let test_midframe_disconnect () =
       check_int "survivor committed" 1 r.Eng.committed;
       check "orphan aborted" true (r.Eng.aborted >= 1))
 
+(* A client abort reaches the trace.  T1 reads 5 and T2 overwrites it,
+   so T1 is T2's active tight predecessor and pins it; the client then
+   aborts T1, and the GC round that abort triggers deletes T2.  Unless
+   the trace records the abort ahead of that round, a replay still
+   holds T1 active and finds the deletion unjustified, and the history
+   checker counts T1 as live instead of aborted. *)
+let test_client_abort_traced () =
+  let buf = Buffer.create 4096 in
+  let tracer = Tracer.create ~sink:(Sink.memory buf) () in
+  let cfg = Eng.config ~policy:Policy.Greedy_c1 ~tracer ~shards:2 ~batch:1 () in
+  let srv =
+    Server.create ~flush_ms:1 ~engine:(Eng.create cfg)
+      (Addr.Unix_path (sock_path "client-abort"))
+  in
+  Server.start srv;
+  let cl = Client.connect ~dialect:Wire.Line (Server.addr srv) in
+  let step what req = ignore (expect_outcome what (Client.call cl req)) in
+  step "begin 1" (Wire.Begin 1);
+  step "read 1 5" (Wire.Read (1, 5));
+  step "begin 2" (Wire.Begin 2);
+  step "write 2 5" (Wire.Write (2, [ 5 ]));
+  step "begin 3" (Wire.Begin 3);
+  step "read 3 7" (Wire.Read (3, 7));
+  (match Client.call cl (Wire.Abort 1) with
+  | Ok (Wire.Abort_reply true) -> ()
+  | _ -> Alcotest.fail "active T1 not aborted");
+  step "write 3 7" (Wire.Write (3, [ 7 ]));
+  Client.close cl;
+  Server.stop srv;
+  ignore (Server.finish srv ~wall_seconds:0.0);
+  let events =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match Dct_telemetry.Event.of_json l with
+           | Ok e -> e
+           | Error m -> Alcotest.failf "bad trace line %s: %s" l m)
+  in
+  check "the abort is in the trace" true
+    (List.exists
+       (function
+         | Dct_telemetry.Event.Txn_aborted { txn = 1; _ } -> true | _ -> false)
+       events);
+  (match Dct_analysis.Audit.of_telemetry events with
+  | Error m -> Alcotest.failf "trace not auditable: %s" m
+  | Ok trace ->
+      let r = Dct_analysis.Audit.audit trace in
+      check
+        (Format.asprintf "audit passes: %a"
+           (Dct_analysis.Audit.pp_report ?txn_name:None ?entity_name:None)
+           r)
+        true (Dct_analysis.Audit.ok r);
+      check_int "T2 (after the abort) and T3 (at the end) deleted" 2
+        r.Dct_analysis.Audit.deleted_total);
+  let ops, _ = Dct_check.History.of_events events in
+  let r =
+    Dct_check.Checker.check_ops ~level:Dct_check.Violation.Serializable ops
+  in
+  check "ser passes" true (Dct_check.Checker.passed r);
+  check_int "ser counts one abort" 1 r.Dct_check.Checker.aborts;
+  check_int "nothing left live" 0 r.Dct_check.Checker.live_at_end
+
 (* An oversized or garbage first frame gets the typed error reply in
    the right dialect, then the connection closes. *)
 let test_oversized_gets_error_reply () =
@@ -678,6 +740,8 @@ let () =
             test_response_issue_order;
           Alcotest.test_case "mid-frame disconnect spares other clients" `Quick
             test_midframe_disconnect;
+          Alcotest.test_case "client abort reaches the trace" `Quick
+            test_client_abort_traced;
           Alcotest.test_case "oversized frame answered with typed error" `Quick
             test_oversized_gets_error_reply;
           Alcotest.test_case "garbage line answered with typed error" `Quick

@@ -76,7 +76,8 @@ let comparable_trace trace =
       | Audit.Deletion { index; deleted } ->
           Printf.sprintf "%d del {%s}" index
             (String.concat ","
-               (List.map string_of_int (Intset.to_sorted_list deleted))))
+               (List.map string_of_int (Intset.to_sorted_list deleted)))
+      | Audit.Abort { index; txn } -> Printf.sprintf "%d abort T%d" index txn)
     trace
 
 let test_audit_cross_check () =

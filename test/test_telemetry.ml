@@ -58,6 +58,7 @@ let sample_events =
     E.Oracle_query { op = "add_arc"; backend = "closure"; ns = 1250.0 };
     E.Cycle_rejected { txn = 9; witness = [ 9; 4; 9 ] };
     E.Restart { txn = 5; attempt = 2 };
+    E.Txn_aborted { txn = 4; reason = "client" };
     E.Checkpoint_stats
       {
         E.at_step = 32;
