@@ -17,10 +17,13 @@ test:
 	dune runtest
 
 # The long-run gates.  The residency gate (also part of `dune runtest`)
-# drives every graph scheduler and the Inline engine over long seeded
-# runs and fails at the first gauge sample above its residency-derived
+# drives every graph scheduler, the database facade and the Inline
+# engine over long seeded runs and fails at the first gauge sample
+# (graph, store, footprint table, WAL) above its residency-derived
 # bound.  The timing gate runs 10^5 txns in the shapes of perfbench's
-# sched-churn and engine-tpcc and fails if the last decile's median
+# sched-churn and engine-tpcc, and the wal-pin shape (one transaction
+# pinned at the log head while 4x10^4 short ones are journaled, removed
+# and truncated behind it), and fails if the last decile's median
 # ns/step exceeds 1.2x the first decile's.
 longrun:
 	dune build @longrun

@@ -8,7 +8,7 @@
 
 module Intset = Dct_graph.Intset
 module Step = Dct_txn.Step
-module Store = Dct_kv.Store
+module Storage = Dct_kv.Storage
 module Cs = Dct_sched.Conflict_scheduler
 module Si = Dct_sched.Scheduler_intf
 module Policy = Dct_deletion.Policy
@@ -69,8 +69,8 @@ let interleave rng transfers =
   List.rev !out
 
 let run policy schedule transfers =
-  let store = Store.create ~default:initial_balance () in
-  let sched = Cs.create ~policy ~store () in
+  let storage = Storage.create ~default:initial_balance () in
+  let sched = Cs.create ~policy ~storage () in
   let ledger = Hashtbl.create 32 in
   List.iteri (fun i t -> Hashtbl.replace ledger (i + 1) t) transfers;
   let committed = ref [] in

@@ -11,6 +11,7 @@
 
 module Wal = Dct_kv.Wal
 module Store = Dct_kv.Store
+module Storage = Dct_kv.Storage
 module Intset = Dct_graph.Intset
 module Cs = Dct_sched.Conflict_scheduler
 module Policy = Dct_deletion.Policy
@@ -32,20 +33,24 @@ let schedule =
 (* Run with [policy]; maintain a checkpoint image that chases the log's
    low-water mark (as a checkpointer daemon would). *)
 let run policy =
-  let store = Store.create () in
   let wal = Wal.create () in
-  let sched = Cs.create ~policy ~store ~wal () in
+  let storage = Storage.create ~wal () in
+  let sched = Cs.create ~policy ~storage () in
   (* The checkpoint is maintained incrementally: whenever the low-water
      mark advances we replay the newly-dropped records' effects.  For
      the demo we reconstruct it at crash time from a shadow full log. *)
   let shadow = Wal.create () in
-  let sched_shadow = Cs.create ~policy:Policy.No_deletion ~wal:shadow () in
+  let sched_shadow =
+    Cs.create ~policy:Policy.No_deletion
+      ~storage:(Storage.create ~wal:shadow ())
+      ()
+  in
   List.iter
     (fun s ->
       ignore (Cs.step sched s);
       ignore (Cs.step sched_shadow s))
     schedule;
-  (store, wal, shadow)
+  (Storage.store storage, wal, shadow)
 
 let () =
   print_endline "recovery: checkpoint + retained WAL suffix = live store\n";

@@ -3,8 +3,9 @@
 
     Under the hood: the preventive conflict-graph scheduler (Rules 1–3)
     with a deletion policy keeping the graph small (the paper's
-    contribution), a versioned store supplying values, and an optional
-    WAL whose truncation is driven by the same deletions.
+    contribution), and a {!Dct_kv.Storage} (a versioned store supplying
+    values and an optional WAL) subscribed to the scheduler's graph
+    state, so the store and the log follow the resident set.
 
     The transaction model is the paper's basic model: a transaction
     reads any number of entities and then atomically writes a set of
@@ -50,7 +51,10 @@ val read : txn -> int -> (int, error) result
 val commit : txn -> writes:(int * int) list -> (unit, error) result
 (** Atomically write the listed (entity, value) pairs and commit.
     [commit ~writes:[]] commits a read-only transaction.  After any
-    result the handle is dead. *)
+    result the handle is dead.  The writes are installed and journaled
+    before the step that decides the commit, as the deletion policy can
+    forget the transaction inside it; a rejected commit leaves its
+    [Write] records ahead of its [Abort]. *)
 
 val abort : txn -> unit
 (** Voluntarily abandon the transaction (drops it from the graph). *)
@@ -92,5 +96,4 @@ val check_invariants : t -> (unit, string) result
 
 (**/**)
 
-val wal : t -> Dct_kv.Wal.t option
-val store : t -> Dct_kv.Store.t
+val storage : t -> Dct_kv.Storage.t

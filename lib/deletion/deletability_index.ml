@@ -174,10 +174,11 @@ let on_mutation t (m : Graph_state.mutation) =
             t.dirty <- Intset.add txn t.dirty
       | C4 -> t.dirty <- Intset.add txn t.dirty)
   | Graph_state.State_changed id -> t.dirty <- Intset.add id t.dirty
-  | Graph_state.Txn_removed { txn; preds; succs; entities; _ } ->
+  | Graph_state.Txn_removed { txn; neighbourhood; _ } ->
+      let { Graph_state.preds; succs; entities } = Lazy.force neighbourhood in
       forget t txn;
       t.eligible_set <- Intset.remove txn t.eligible_set;
-      (* The node is gone; seed its surviving neighbours instead.  A
+      (* The node is leaving; seed its surviving neighbours instead.  A
          neighbour removed before the next refresh re-seeds its own
          neighbours in turn (inductive frontier), so chains of deletions
          stay covered.  Bypass arcs preserve pred⇝succ connectivity, so

@@ -22,9 +22,10 @@ type einfo = {
 }
 
 (* Structural change notifications for incremental consumers (the
-   deletability index).  Removal events carry the neighbourhood captured
-   {e before} the node left the graph — the subscriber has no other way
-   to learn which survivors were adjacent. *)
+   deletability index, a storage).  A removal's neighbourhood is lazy:
+   only a subscriber that forces it (the index) pays for building it. *)
+type neighbourhood = { preds : Intset.t; succs : Intset.t; entities : Intset.t }
+
 type mutation =
   | Txn_began of int
   | Arc_added of { src : int; dst : int }
@@ -34,10 +35,7 @@ type mutation =
   | Txn_removed of {
       txn : int;
       reduction : bool; (* true: D(G,T) deletion with bypass; false: abort *)
-      preds : Intset.t;
-      succs : Intset.t;
-      entities : Intset.t;
-      deps : Intset.t; (* providers and dependents, both directions *)
+      neighbourhood : neighbourhood Lazy.t;
     }
 
 type t = {
@@ -68,8 +66,9 @@ type t = {
       (* run-wide tracing handle; [Tracer.disabled] (the default) makes
          every emission a no-op *)
   mutable hooks : (mutation -> unit) list;
-      (* mutation subscribers, notified after the state change lands;
-         empty for every state without an attached index *)
+      (* mutation subscribers, notified after the state change lands
+         (a removal: just before); empty for every state with neither
+         an attached index nor a storage *)
 }
 
 let create ?(oracle = Cycle_oracle.Topo) ?(tracer = Tracer.disabled) () =
@@ -94,7 +93,10 @@ let tracer t = t.tracer
 let on_mutation t f = t.hooks <- t.hooks @ [ f ]
 
 let notify t m =
-  match t.hooks with [] -> () | hs -> List.iter (fun f -> f m) hs
+  match t.hooks with
+  | [] -> ()
+  | [ f ] -> f m (* a lone storage or index: no closure per mutation *)
+  | hs -> List.iter (fun f -> f m) hs
 
 let copy t =
   let einfos = Hashtbl.create (Hashtbl.length t.einfos) in
@@ -388,33 +390,34 @@ let release_txn t id =
       drop_deps t s ~id;
       ignore (Arena.release t.arena id)
 
-(* Neighbourhood snapshot for Txn_removed, taken while the node is still
-   in the graph; [None] when nobody is listening. *)
-let removal_payload t id ~reduction =
+(* Announced while [id] is still in the graph, so that a callback
+   forcing the neighbourhood reads it as it stands. *)
+let announce_removal t id ~reduction =
   match t.hooks with
-  | [] -> None
+  | [] -> ()
   | _ ->
-      let deps = Intset.union (direct_deps t id) (rev_deps_of t id) in
-      let g = graph t in
-      Some
+      notify t
         (Txn_removed
            {
              txn = id;
              reduction;
-             preds = Digraph.preds g id;
-             succs = Digraph.succs g id;
-             entities = Access.entities (accesses t id);
-             deps;
+             neighbourhood =
+               lazy
+                 (let g = graph t in
+                  {
+                    preds = Digraph.preds g id;
+                    succs = Digraph.succs g id;
+                    entities = Access.entities (accesses t id);
+                  });
            })
 
 let abort_txn t id =
   if mem_txn t id then begin
-    let payload = removal_payload t id ~reduction:false in
+    announce_removal t id ~reduction:false;
     Cycle_oracle.remove_node t.oracle `Exact id;
     drop_entity_entries t id ~tombstone:false;
     release_txn t id;
-    Hashtbl.replace t.aborted id ();
-    Option.iter (notify t) payload
+    Hashtbl.replace t.aborted id ()
   end
 
 let was_aborted t id = Hashtbl.mem t.aborted id
@@ -429,6 +432,9 @@ let deleted_txns t =
 
 let oracle t = t.oracle
 
+(* The record and index entries of a node already detached from the
+   graph, in O(its own footprint), without touching current-accessor
+   history (deletion must not rewrite database facts). *)
 let forget_txn_record t id =
   if mem_txn t id then begin
     drop_entity_entries t id ~tombstone:true;
@@ -439,11 +445,10 @@ let forget_txn_record t id =
    path through it (Digraph.remove_node_bypass).  Exposed through
    Reduced_graph.delete. *)
 let delete_with_bypass t ti =
-  let payload = removal_payload t ti ~reduction:true in
+  announce_removal t ti ~reduction:true;
   Cycle_oracle.remove_node t.oracle `Bypass ti;
   forget_txn_record t ti;
-  Hashtbl.replace t.deleted ti ();
-  Option.iter (notify t) payload
+  Hashtbl.replace t.deleted ti ()
 
 (* Deterministic resident-size estimate of the graph substrate: the
    oracle (which holds the conflict graph), the slot-indexed

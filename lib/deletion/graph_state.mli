@@ -21,12 +21,21 @@
 type t
 
 (** Structural change notifications for incremental consumers (the
-    {!Deletability_index}).  Fired {e after} the state change lands.
-    [Txn_removed] snapshots the node's neighbourhood {e before} removal
-    (a subscriber cannot recover it afterwards); [reduction] is [true]
-    for a bypass deletion by the policy and [false] for an abort.  Note
-    the bypass arcs materialised by a reduction do {e not} fire
-    [Arc_added] — they are implied by the removal's [preds]×[succs]. *)
+    {!Deletability_index}, a storage).  Fired {e after} the state change
+    lands, except [Txn_removed], which every removal fires just
+    {e before} the node leaves: [reduction] is [true] for a bypass
+    deletion by the policy and [false] for an abort.  Its lazy
+    [neighbourhood], which a subscriber cannot recover afterwards, must
+    be forced inside the callback; one that needs only the id builds
+    nothing.  Note the bypass arcs materialised by a reduction do
+    {e not} fire [Arc_added] — they are implied by the removal's
+    [preds]×[succs]. *)
+type neighbourhood = {
+  preds : Dct_graph.Intset.t;
+  succs : Dct_graph.Intset.t;
+  entities : Dct_graph.Intset.t;
+}
+
 type mutation =
   | Txn_began of int
   | Arc_added of { src : int; dst : int }
@@ -36,10 +45,7 @@ type mutation =
   | Txn_removed of {
       txn : int;
       reduction : bool;
-      preds : Dct_graph.Intset.t;
-      succs : Dct_graph.Intset.t;
-      entities : Dct_graph.Intset.t;
-      deps : Dct_graph.Intset.t;
+      neighbourhood : neighbourhood Lazy.t;
     }
 
 val on_mutation : t -> (mutation -> unit) -> unit
@@ -219,11 +225,6 @@ val resident_bytes : t -> int
     traces). *)
 
 (** {1 Internal — used by {!Reduced_graph}} *)
-
-val forget_txn_record : t -> int -> unit
-(** Remove the payload and index entries of a node already detached from
-    the graph, in O(its own footprint).  Does not touch current-accessor
-    history (deletion must not rewrite database facts). *)
 
 val delete_with_bypass : t -> int -> unit
 (** The reduction [D(G, T)] on the oracle

@@ -838,8 +838,8 @@ let differential ?(executor = Inline) ?fault ?oracle ?partitioner ?gc_index ~sha
   let eng = create ?fault cfg in
   (* The single-node SGT scheduler, driven in lock-step from the
      engine's decision callback. *)
-  let single_store = Store.create () in
-  let single = Cs.create ~policy ~store:single_store ?gc_index () in
+  let single_storage = Dct_kv.Storage.create () in
+  let single = Cs.create ~policy ~storage:single_storage ?gc_index () in
   let single_resident = Array.make (List.length steps + 1) 0 in
   let outcome_mismatches = ref [] and residency_violations = ref [] in
   let single_peak = ref 0 and engine_shard_peak = ref 0 in
@@ -873,13 +873,18 @@ let differential ?(executor = Inline) ?fault ?oracle ?partitioner ?gc_index ~sha
   eng.on_deletion <- Some (fun step set -> deletions := (step, set) :: !deletions);
   let rep = run ~on_step eng steps in
   let render = List.map (fun (step, set) -> Printf.sprintf "step %d %s" step (set_to_string set)) in
+  (* Both sides retire chains back at their initial value, so compare
+     over every entity either side still holds. *)
+  let single_store = Dct_kv.Storage.store single_storage in
   let store_mismatches = ref [] in
   Intset.iter
     (fun entity ->
       let expected = Store.peek single_store ~entity in
       let got = Store.peek (Shard.store eng.shards.(owner eng entity)) ~entity in
       if got <> expected then store_mismatches := (entity, got, expected) :: !store_mismatches)
-    (Store.entities single_store);
+    (Array.fold_left
+       (fun acc sh -> Intset.union acc (Store.entities (Shard.store sh)))
+       (Store.entities single_store) eng.shards);
   let shard_divergences, trace_divergence =
     if inline then ([], None)
     else begin

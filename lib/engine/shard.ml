@@ -5,23 +5,17 @@ module Policy = Dct_deletion.Policy
 module Dindex = Dct_deletion.Deletability_index
 module Access = Dct_txn.Access
 module Transaction = Dct_txn.Transaction
-module Store = Dct_kv.Store
 module Wal = Dct_kv.Wal
+module Storage = Dct_kv.Storage
 
 type t = {
   id : int;
   gs : Gs.t;
-  store : Store.t;
-  wal : Wal.t;
+  storage : Storage.t; (* store, WAL and footprints; follows [gs] *)
   policy : Policy.t;
   index : Dindex.t option;
       (* per-shard index over the projected graph — projections are
          small, so dirty regions are too (the sharded sweet spot) *)
-  footprints : (int, Intset.t) Hashtbl.t;
-      (* hosted txn -> the shard entities it accessed: what its removal
-         visits in the store.  An entry dies when the transaction is
-         aborted or deleted here, so the table is bounded by the
-         shard's residency. *)
   mutable last_arcs : (int * int) list;
   mutable resident_hwm : int;
   mutable hosted_total : int;
@@ -37,14 +31,14 @@ type t = {
 let create ~id ~policy ?gc_index () =
   let gs = Gs.create () in
   let index = Option.map (fun mode -> Dindex.attach mode gs) gc_index in
+  let storage = Storage.create ~wal:(Wal.create ()) () in
+  Dct_sched.Scheduler_intf.attach_storage storage gs;
   {
     id;
     gs;
-    store = Store.create ();
-    wal = Wal.create ();
+    storage;
     policy;
     index;
-    footprints = Hashtbl.create 64;
     last_arcs = [];
     resident_hwm = 0;
     hosted_total = 0;
@@ -56,25 +50,11 @@ let create ~id ~policy ?gc_index () =
 
 let id t = t.id
 let graph_state t = t.gs
-let store t = t.store
-let wal t = t.wal
+let storage t = t.storage
+let store t = Storage.store t.storage
+let wal t = Option.get (Storage.wal t.storage) (* made with one *)
 let hosts t txn = Gs.mem_txn t.gs txn
 let last_arcs t = t.last_arcs
-let footprints t = Hashtbl.length t.footprints
-
-let touch t txn entity =
-  let fp =
-    Option.value ~default:Intset.empty (Hashtbl.find_opt t.footprints txn)
-  in
-  Hashtbl.replace t.footprints txn (Intset.add entity fp)
-
-(* Remove [txn]'s entry, returning its footprint. *)
-let take_footprint t txn =
-  match Hashtbl.find_opt t.footprints txn with
-  | Some fp ->
-      Hashtbl.remove t.footprints txn;
-      fp
-  | None -> Intset.empty
 
 let note_residency t =
   t.resident_hwm <- max t.resident_hwm (Gs.txn_count t.gs)
@@ -83,12 +63,9 @@ let host t txn =
   if not (Gs.mem_txn t.gs txn) then begin
     Gs.begin_txn t.gs txn;
     t.hosted_total <- t.hosted_total + 1;
-    ignore (Wal.append t.wal (Wal.Begin { txn }));
+    Storage.begin_ t.storage ~txn;
     note_residency t
   end
-
-let truncate_log t =
-  ignore (Wal.truncate_to t.wal ~resident:(fun txn -> Gs.mem_txn t.gs txn))
 
 (* Local arcs are always safe to add: the coordinator accepted the step,
    so no global path [txn ~> src] exists, and local connectivity (real
@@ -108,8 +85,7 @@ let apply_read t ~txn ~entity =
   let sources = Intset.remove txn (Gs.present_writers t.gs ~entity) in
   add_arcs t ~into:txn sources;
   Gs.record_access t.gs ~txn ~entity ~mode:Access.Read;
-  touch t txn entity;
-  ignore (Store.read t.store ~entity ~reader:txn)
+  ignore (Storage.read t.storage ~txn ~entity)
 
 let apply_write t ~txn ~entities ~value =
   t.last_arcs <- [];
@@ -125,40 +101,29 @@ let apply_write t ~txn ~entities ~value =
   List.iter
     (fun entity ->
       Gs.record_access t.gs ~txn ~entity ~mode:Access.Write;
-      touch t txn entity;
-      Store.write t.store ~entity ~writer:txn ~value;
-      ignore (Wal.append t.wal (Wal.Write { txn; entity; value })))
+      Storage.write t.storage ~txn ~entity ~value)
     entities
 
 let complete t txn =
   if Gs.mem_txn t.gs txn && Gs.is_active t.gs txn then begin
     Gs.set_state t.gs txn Transaction.Committed;
     t.committed <- t.committed + 1;
-    ignore (Wal.append t.wal (Wal.Commit { txn }))
+    Storage.commit t.storage ~txn
   end
 
+(* The removals below reach the store through the storage's
+   subscription; each ends by truncating the log. *)
 let abort t txn =
   if Gs.mem_txn t.gs txn then begin
     Gs.abort_txn t.gs txn;
-    Store.undo_writes t.store ~txn ~entities:(take_footprint t txn);
     t.aborted <- t.aborted + 1;
-    ignore (Wal.append t.wal (Wal.Abort { txn }));
-    truncate_log t
+    Storage.truncate t.storage
   end
-
-let forget_from_store t deleted =
-  Intset.iter
-    (fun txn ->
-      Store.forget_txn t.store ~txn ~entities:(take_footprint t txn))
-    deleted
 
 let collect_garbage t =
   let deleted = Policy.run ?index:t.index t.policy t.gs in
-  if not (Intset.is_empty deleted) then begin
-    t.deleted_local <- t.deleted_local + Intset.cardinal deleted;
-    forget_from_store t deleted;
-    truncate_log t
-  end;
+  t.deleted_local <- t.deleted_local + Intset.cardinal deleted;
+  Storage.truncate t.storage;
   deleted
 
 let apply_global_deletions t global =
@@ -167,12 +132,9 @@ let apply_global_deletions t global =
       (fun txn -> Gs.mem_txn t.gs txn && Gs.is_completed t.gs txn)
       global
   in
-  if not (Intset.is_empty applied) then begin
-    Intset.iter (fun txn -> Gs.delete_with_bypass t.gs txn) applied;
-    t.deleted_forced <- t.deleted_forced + Intset.cardinal applied;
-    forget_from_store t applied;
-    truncate_log t
-  end;
+  Intset.iter (Gs.delete_with_bypass t.gs) applied;
+  t.deleted_forced <- t.deleted_forced + Intset.cardinal applied;
+  Storage.truncate t.storage;
   applied
 
 type stats = {
@@ -203,8 +165,8 @@ let stats t =
     aborted = t.aborted;
     deleted_local = t.deleted_local;
     deleted_forced = t.deleted_forced;
-    store_versions = Store.total_versions t.store;
-    wal_retained = Wal.length t.wal;
-    wal_truncated = Wal.truncated t.wal;
+    store_versions = Dct_kv.Store.total_versions (store t);
+    wal_retained = Wal.length (wal t);
+    wal_truncated = Wal.truncated (wal t);
     resident_bytes = Gs.resident_bytes t.gs;
   }

@@ -1,10 +1,11 @@
 (** One shard: the state for the entities a {!Partitioner} assigns it.
 
     A shard owns a local {!Dct_deletion.Graph_state} (the projection of
-    the global conflict graph onto conflicts over its entities), a
-    versioned {!Dct_kv.Store} holding its entities' data, and a
-    {!Dct_kv.Wal} for its writes.  A transaction is {e hosted} here from
-    its first access to a shard entity until GC forgets it.
+    the global conflict graph onto conflicts over its entities) and a
+    {!Dct_kv.Storage} subscribed to it (a versioned store holding its
+    entities' data and a {!Dct_kv.Wal} for its writes).  A transaction
+    is {e hosted} here from its first access to a shard entity until GC
+    forgets it.
 
     Shards never decide — the {!Coordinator} does (and its decisions are
     exactly the single-node scheduler's).  What a shard does own is its
@@ -42,6 +43,8 @@ val create :
 
 val id : t -> int
 val graph_state : t -> Dct_deletion.Graph_state.t
+
+val storage : t -> Dct_kv.Storage.t
 val store : t -> Dct_kv.Store.t
 val wal : t -> Dct_kv.Wal.t
 
@@ -59,12 +62,6 @@ val apply_write : t -> txn:int -> entities:int list -> value:int -> unit
     arcs (present local accessors -> txn), accesses, store writes (all
     installing [value]) and WAL records. *)
 
-val footprints : t -> int
-(** Hosted transactions with a recorded footprint (the shard entities
-    each accessed, which its abort or deletion visits in the store).
-    Entries die with the transaction here, so this is bounded by the
-    shard's residency. *)
-
 val last_arcs : t -> (int * int) list
 (** The (src, dst) conflict arcs added by the most recent
     {!apply_read}/{!apply_write} — the engine classifies them as
@@ -74,16 +71,15 @@ val complete : t -> int -> unit
 (** The transaction committed globally; mark the local copy committed
     (no-op when not hosted). *)
 
+(** The removals below reach the store through the storage's
+    subscription, and each call ends by truncating the WAL. *)
+
 val abort : t -> int -> unit
-(** The transaction was aborted globally: plain local removal, store
-    undo (its versions and reader marks, on its own entities only), WAL
-    abort record, log truncation. *)
+(** The transaction was aborted globally: plain local removal. *)
 
 val collect_garbage : t -> Dct_graph.Intset.t
-(** Run the shard's own deletion policy on the local graph; forget
-    deleted transactions in the store (reader marks, and the versions
-    older than each one's own, on its own entities only) and truncate
-    the WAL.  Returns the locally deleted set. *)
+(** Run the shard's own deletion policy on the local graph.  Returns
+    the locally deleted set. *)
 
 val apply_global_deletions : t -> Dct_graph.Intset.t -> Dct_graph.Intset.t
 (** Force-delete (with bypass) every hosted member of the coordinator's

@@ -43,13 +43,6 @@ let current_readers t ~entity =
   | None -> Intset.empty
   | Some l -> (Version_log.current l).Version_log.readers
 
-let txn_is_current t ~txn ~entities =
-  Intset.exists
-    (fun entity ->
-      current_writer t ~entity = Some txn
-      || Intset.mem txn (current_readers t ~entity))
-    entities
-
 (* A removal visits only the chains of the transaction's own entities,
    re-counts each and retires it once it is pristine again. *)
 let visit t entities f =
@@ -86,11 +79,3 @@ let version_count t ~entity =
   | Some l -> Version_log.length l
 
 let total_versions t = t.versions
-
-let truncate_history t ~keep =
-  Hashtbl.iter
-    (fun _ l ->
-      let before = Version_log.length l in
-      Version_log.truncate l ~keep;
-      t.versions <- t.versions + Version_log.length l - before)
-    t.logs

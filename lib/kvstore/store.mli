@@ -27,16 +27,12 @@ val current_writer : t -> entity:int -> int option
 val current_readers : t -> entity:int -> Dct_graph.Intset.t
 (** Readers recorded on the current version. *)
 
-val txn_is_current : t -> txn:int -> entities:Dct_graph.Intset.t -> bool
-(** Did [txn] read or write the {e current} value of any of [entities]?
-    (Corollary 1: if not, the completed transaction is "noncurrent" and
-    can always be deleted.) *)
-
 (** {1 Removal}
 
-    Both removals take the transaction's footprint, [~entities] (every
-    entity it read or wrote here), and visit only those chains: a
-    removal costs O(footprint), however many entities the store holds.
+    {!Storage}, their one caller outside tests, keeps the footprint
+    each takes, [~entities] (every entity the transaction read or wrote
+    here): a removal costs O(footprint), however many entities the store
+    holds.
     A chain left with nothing but its bare initial version (no write,
     no reader) is dropped, which a later access cannot tell from a
     fresh chain. *)
@@ -62,6 +58,3 @@ val version_count : t -> entity:int -> int
 val total_versions : t -> int
 (** Sum of all chain lengths — a memory-residency metric; a maintained
     count, O(1). *)
-
-val truncate_history : t -> keep:int -> unit
-(** Keep the [keep] newest versions of every entity. *)

@@ -44,20 +44,9 @@ let prune_before t w =
 let forget_reader t r =
   List.iter (fun v -> v.readers <- Intset.remove r v.readers) t.chain
 
-let versions t = t.chain
-
 let length t = List.length t.chain
 
 let pristine t =
   match t.chain with
   | [ { writer = None; readers; _ } ] -> Intset.is_empty readers
   | _ -> false
-
-let truncate t ~keep =
-  let keep = max 1 keep in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | v :: rest -> v :: take (n - 1) rest
-  in
-  t.chain <- take keep t.chain

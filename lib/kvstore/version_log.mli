@@ -49,10 +49,4 @@ val pristine : t -> bool
     recorded on it?  Such a chain is indistinguishable from a fresh
     one. *)
 
-val versions : t -> version list
-(** Newest first; always non-empty. *)
-
 val length : t -> int
-
-val truncate : t -> keep:int -> unit
-(** Keep only the [keep] newest versions (at least the current one). *)

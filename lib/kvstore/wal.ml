@@ -14,62 +14,51 @@ let pp_record ppf = function
   | Commit { txn } -> Format.fprintf ppf "COMMIT T%d" txn
   | Abort { txn } -> Format.fprintf ppf "ABORT T%d" txn
 
+(* Records are numbered from 1 in append order and only a prefix is
+   ever dropped, so the LSNs need not be stored: the head's is one past
+   the records dropped so far. *)
 type t = {
-  mutable retained : (int * record) list; (* newest first *)
-  mutable next_lsn : int;
-  mutable low_water : int;
-  mutable dropped : int;
+  retained : record Queue.t; (* oldest first; its length is kept *)
+  mutable dropped : int; (* = the low-water LSN *)
 }
 
-let create () = { retained = []; next_lsn = 1; low_water = 0; dropped = 0 }
+let create () = { retained = Queue.create (); dropped = 0 }
+let length t = Queue.length t.retained
+let total_appended t = t.dropped + length t
 
 let append t r =
-  let lsn = t.next_lsn in
-  t.next_lsn <- lsn + 1;
-  t.retained <- (lsn, r) :: t.retained;
-  lsn
-
-let length t = List.length t.retained
-
-let total_appended t = t.next_lsn - 1
+  Queue.push r t.retained;
+  total_appended t
 
 let truncated t = t.dropped
+let low_water_mark t = t.dropped
 
-let low_water_mark t = t.low_water
+let records t =
+  List.of_seq (Seq.mapi (fun i r -> (t.dropped + i + 1, r)) (Queue.to_seq t.retained))
 
-let records t = List.rev t.retained
-
+(* Pop from the head while the oldest record's transaction has left;
+   the first one the scheduler still remembers stops the scan. *)
 let truncate_to t ~resident =
-  (* Scan from the oldest record; stop at the first one whose
-     transaction the scheduler still remembers. *)
-  let rec split kept = function
-    | (_, r) :: rest when not (resident (txn_of r)) -> split (kept + 1) rest
-    | remaining -> (kept, remaining)
-  in
-  let oldest_first = records t in
-  let kept, remaining = split 0 oldest_first in
-  if kept > 0 then begin
-    t.low_water <-
-      (match remaining with
-      | (lsn, _) :: _ -> lsn - 1
-      | [] -> t.next_lsn - 1);
-    t.retained <- List.rev remaining;
-    t.dropped <- t.dropped + kept
-  end;
-  kept
+  let before = t.dropped in
+  while
+    (not (Queue.is_empty t.retained))
+    && not (resident (txn_of (Queue.peek t.retained)))
+  do
+    ignore (Queue.pop t.retained);
+    t.dropped <- t.dropped + 1
+  done;
+  t.dropped - before
 
 let replay t ~into =
   let committed = Hashtbl.create 16 in
-  List.iter
-    (fun (_, r) ->
-      match r with
+  Queue.iter
+    (function
       | Commit { txn } -> Hashtbl.replace committed txn ()
       | Begin _ | Write _ | Abort _ -> ())
-    (records t);
-  List.iter
-    (fun (_, r) ->
-      match r with
+    t.retained;
+  Queue.iter
+    (function
       | Write { txn; entity; value } when Hashtbl.mem committed txn ->
           Store.write into ~entity ~writer:txn ~value
       | Write _ | Begin _ | Commit _ | Abort _ -> ())
-    (records t)
+    t.retained

@@ -12,19 +12,18 @@ type t
 
 val create :
   ?policy:Dct_deletion.Policy.t ->
-  ?store:Dct_kv.Store.t ->
-  ?wal:Dct_kv.Wal.t ->
+  ?storage:Dct_kv.Storage.t ->
   ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?tracer:Dct_telemetry.Tracer.t ->
   ?gc_index:Dct_deletion.Deletability_index.mode ->
   unit ->
   t
-(** [policy] defaults to [No_deletion].  When [store] is given, accepted
-    reads/writes are applied to it (writes install a fresh value derived
-    from the scheduler's step counter).  When [wal] is given, the
-    scheduler journals begin/write/commit/abort records and advances the
-    log's low-water mark whenever the deletion policy forgets
-    transactions — the log-truncation reading of the paper.
+(** [policy] defaults to [No_deletion].  When [storage] is given,
+    accepted steps are applied to it (writes install a fresh value
+    derived from the scheduler's step counter), it follows the graph
+    state's removals ({!Scheduler_intf.attach_storage}), and its WAL, if
+    any, is truncated at the end of every step — the log-truncation
+    reading of the paper.
     [oracle] selects the cycle-check engine
     ({!Dct_graph.Cycle_oracle.backend}, default [Topo]).  Identical
     decisions under every backend, different cost profile (see the
@@ -46,10 +45,10 @@ val graph_state : t -> Dct_deletion.Graph_state.t
 val stats : t -> Scheduler_intf.stats
 
 val collect_garbage : t -> Dct_graph.Intset.t
-(** Run the deletion policy once outside the step path.  Needed after
-    out-of-band aborts (e.g. a client voluntarily abandoning a
-    transaction through {!graph_state}): removing an active transaction
-    can only enlarge the eligible set. *)
+(** Run the deletion policy once outside the step path, then truncate
+    the storage's log.  Needed after out-of-band aborts (e.g. a client
+    voluntarily abandoning a transaction through {!graph_state}):
+    removing an active transaction can only enlarge the eligible set. *)
 
 val deleted_log : t -> (int * Dct_graph.Intset.t) list
 (** [(step_number, deleted_set)] for every non-empty policy invocation,
@@ -61,8 +60,7 @@ val handle_of : t -> Scheduler_intf.handle
 
 val handle :
   ?policy:Dct_deletion.Policy.t ->
-  ?store:Dct_kv.Store.t ->
-  ?wal:Dct_kv.Wal.t ->
+  ?storage:Dct_kv.Storage.t ->
   ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?tracer:Dct_telemetry.Tracer.t ->
   ?gc_index:Dct_deletion.Deletability_index.mode ->

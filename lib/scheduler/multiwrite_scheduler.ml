@@ -8,6 +8,7 @@ module C3 = Dct_deletion.Condition_c3
 module Reduced = Dct_deletion.Reduced_graph
 module Policy = Dct_deletion.Policy
 module Dindex = Dct_deletion.Deletability_index
+module Storage = Dct_kv.Storage
 
 type deletion_mode = No_deletion | C3_exact of int
 
@@ -24,7 +25,9 @@ type t = {
          {!C3.quick_reject} (the polynomial necessary test) against
          {!C3.holds} (the exponential exact one) on every candidate —
          the two-implementation differential this model does admit. *)
-  store : Dct_kv.Store.t;
+  storage : Storage.t;
+      (* supplies read-from lineage; subscribed to [gs], so a cascade
+         undoes and a C3 deletion forgets through the removal notice *)
   mutable steps : int;
   mutable committed : int;
   mutable aborted : int;
@@ -32,12 +35,15 @@ type t = {
   mutable deleted : int;
 }
 
-let create ?(deletion = No_deletion) ?store ?oracle ?tracer ?gc_index () =
+let create ?(deletion = No_deletion) ?oracle ?tracer ?gc_index () =
+  let gs = Gs.create ?oracle ?tracer () in
+  let storage = Storage.create () in
+  Scheduler_intf.attach_storage storage gs;
   {
-    gs = Gs.create ?oracle ?tracer ();
+    gs;
     deletion;
     gc_index;
-    store = Option.value ~default:(Dct_kv.Store.create ()) store;
+    storage;
     steps = 0;
     committed = 0;
     aborted = 0;
@@ -46,18 +52,14 @@ let create ?(deletion = No_deletion) ?store ?oracle ?tracer ?gc_index () =
   }
 
 let graph_state t = t.gs
+let storage t = t.storage
 
 let cascaded_total t = t.cascaded
 
 (* Abort [txn] and everything depending on it. *)
 let abort_cascade t txn =
   let doomed = Gs.dependents_closure t.gs (Intset.singleton txn) in
-  Intset.iter
-    (fun v ->
-      Dct_kv.Store.undo_writes t.store ~txn:v
-        ~entities:(Access.entities (Gs.accesses t.gs v));
-      Gs.abort_txn t.gs v)
-    doomed;
+  Intset.iter (Gs.abort_txn t.gs) doomed;
   t.aborted <- t.aborted + Intset.cardinal doomed;
   t.cascaded <- t.cascaded + (Intset.cardinal doomed - 1)
 
@@ -136,6 +138,7 @@ let step t s =
     match s with
     | Step.Begin _ ->
         Gs.begin_txn t.gs txn;
+        Storage.begin_ t.storage ~txn;
         Scheduler_intf.Accepted
     | Step.Read (_, x) ->
         let sources = Intset.remove txn (Gs.present_writers t.gs ~entity:x) in
@@ -147,7 +150,7 @@ let step t s =
         else begin
           Intset.iter (fun src -> Gs.add_arc t.gs ~src ~dst:txn) sources;
           Gs.record_access t.gs ~txn ~entity:x ~mode:Access.Read;
-          let version = Dct_kv.Store.read t.store ~entity:x ~reader:txn in
+          let version = Storage.read t.storage ~txn ~entity:x in
           (match version.Dct_kv.Version_log.writer with
           | Some w
             when Gs.mem_txn t.gs w
@@ -166,7 +169,7 @@ let step t s =
         else begin
           Intset.iter (fun src -> Gs.add_arc t.gs ~src ~dst:txn) sources;
           Gs.record_access t.gs ~txn ~entity:x ~mode:Access.Write;
-          Dct_kv.Store.write t.store ~entity:x ~writer:txn ~value:t.steps;
+          Storage.write t.storage ~txn ~entity:x ~value:t.steps;
           Scheduler_intf.Accepted
         end
     | Step.Finish _ ->

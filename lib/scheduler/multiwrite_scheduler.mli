@@ -8,8 +8,9 @@
 
     The scheduler maintains the conflict graph step-by-step exactly as
     the basic one, plus the dependency relation (read-from) against a
-    versioned store; aborts undo the aborted transactions' writes and
-    cascade through the dependents' closure.
+    versioned store in its own {!Dct_kv.Storage}, which follows the
+    graph state's removals; aborts cascade through the dependents'
+    closure.
 
     Deletion uses condition C3, which is NP-hard to test (Theorem 6) —
     the policy is therefore bounded: it only runs the exact test while
@@ -24,7 +25,6 @@ type t
 
 val create :
   ?deletion:deletion_mode ->
-  ?store:Dct_kv.Store.t ->
   ?oracle:Dct_graph.Cycle_oracle.backend ->
   ?tracer:Dct_telemetry.Tracer.t ->
   ?gc_index:Dct_deletion.Deletability_index.mode ->
@@ -48,6 +48,7 @@ val step : t -> Dct_txn.Step.t -> Scheduler_intf.outcome
     aborts with it). *)
 
 val graph_state : t -> Dct_deletion.Graph_state.t
+val storage : t -> Dct_kv.Storage.t
 val stats : t -> Scheduler_intf.stats
 
 val cascaded_total : t -> int

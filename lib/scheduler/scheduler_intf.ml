@@ -111,3 +111,13 @@ let trace_steps ?reject_reason ?delay_reason ?ignore_reason tracer h =
     in
     { h with step }
   end
+
+(** Subscribe [storage] to [gs]'s removals, once, at creation, so that
+    every abort and every deletion, whatever removed it, reaches the
+    store.  The caller applies only accepted effects and ends each step
+    with {!Dct_kv.Storage.truncate}. *)
+let attach_storage storage gs =
+  Dct_deletion.Graph_state.on_mutation gs (function
+    | Dct_deletion.Graph_state.Txn_removed { txn; reduction; _ } ->
+        Dct_kv.Storage.remove storage ~txn ~aborted:(not reduction)
+    | _ -> ())

@@ -536,7 +536,9 @@ let ex12_log_truncation ?(oc = stdout) () =
     List.map
       (fun policy ->
         let wal = Dct_kv.Wal.create () in
-        let sched = Cs.create ~policy ~wal () in
+        let sched =
+          Cs.create ~policy ~storage:(Dct_kv.Storage.create ~wal ()) ()
+        in
         let peak = ref 0 in
         List.iter
           (fun step ->

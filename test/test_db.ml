@@ -2,6 +2,10 @@
 
 module Db = Dct_db.Db
 module Policy = Dct_deletion.Policy
+module Storage = Dct_kv.Storage
+module Store = Dct_kv.Store
+module Wal = Dct_kv.Wal
+module Intset = Dct_graph.Intset
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -114,6 +118,78 @@ let test_durability_recovery () =
   check_int "live agrees" (Db.peek db2 1)
     (Dct_kv.Store.peek recovered ~entity:1)
 
+(* Under greedy-C1 a lone transaction is deleted inside the step that
+   commits it.  Its writes were installed before that step, so the
+   deletion finds them: the store ends with exactly its versions, and
+   nothing of its read.  The log is truncated only after its [Commit],
+   so a checkpoint at the low-water mark holds the writes. *)
+let test_deleted_in_its_commit_step () =
+  let run policy =
+    let db = Db.open_ ~config:{ Db.default_config with Db.policy } () in
+    let t = Db.begin_txn db in
+    check "read" true (Db.read t 3 = Ok 0);
+    check "commit" true (Db.commit t ~writes:[ (1, 10); (2, 20) ] = Ok ());
+    db
+  in
+  let db = run Policy.Greedy_c1 in
+  let s = Db.stats db in
+  check_int "deleted in its own commit step" 1 s.Db.graph_deleted;
+  check_int "no resident" 0 s.Db.graph_resident;
+  let storage = Db.storage db in
+  let store = Storage.store storage in
+  check_int "exactly its written versions" 2 (Store.total_versions store);
+  check "no reader mark" false (Intset.mem 1 (Store.current_readers store ~entity:3));
+  check_int "the read entity holds nothing" 0 (Store.version_count store ~entity:3);
+  check_int "empty footprint table" 0 (Storage.footprints storage);
+  let wal = Option.get (Storage.wal storage) in
+  check_int "log truncated through the commit" (Wal.total_appended wal)
+    (Wal.low_water_mark wal);
+  (* The checkpoint: the complete history (the same records, kept by a
+     no-deletion database) up to the low-water mark. *)
+  let full = Option.get (Storage.wal (Db.storage (run Policy.No_deletion))) in
+  let prefix = Wal.create () in
+  List.iter
+    (fun (lsn, r) -> if lsn <= Wal.low_water_mark wal then ignore (Wal.append prefix r))
+    (Wal.records full);
+  let checkpoint = Store.create () in
+  Wal.replay prefix ~into:checkpoint;
+  let recovered = Db.recover db ~checkpoint in
+  List.iter
+    (fun entity ->
+      check_int
+        (Printf.sprintf "entity %d recovered" entity)
+        (Db.peek db entity)
+        (Store.peek recovered ~entity))
+    [ 1; 2; 3 ]
+
+(* A commit stages its writes before the decision; a rejected one is
+   undone through the storage's own footprint, and its [Write] records
+   stay behind an [Abort], which replay skips. *)
+let test_rejected_commit_undone () =
+  let db =
+    Db.open_ ~config:{ Db.default_config with Db.policy = Policy.No_deletion } ()
+  in
+  let t1 = Db.begin_txn db in
+  ignore (Db.read t1 0);
+  let t2 = Db.begin_txn db in
+  ignore (Db.read t2 0);
+  check "t2 commits" true (Db.commit t2 ~writes:[ (0, 9) ] = Ok ());
+  let store = Storage.store (Db.storage db) in
+  let versions = Store.total_versions store in
+  check "t1 rejected" true (Db.commit t1 ~writes:[ (0, 8); (5, 50) ] = Error Db.Aborted);
+  check_int "entity 0 keeps t2's value" 9 (Db.peek db 0);
+  check_int "entity 5 untouched" 0 (Db.peek db 5);
+  check_int "no staged version left" versions (Store.total_versions store);
+  let wal = Option.get (Storage.wal (Db.storage db)) in
+  check "t1's writes, then its abort" true
+    (match List.rev (Wal.records wal) with
+    | (_, Wal.Abort { txn = 1 }) :: (_, Wal.Write { txn = 1; entity = 5; _ })
+      :: (_, Wal.Write { txn = 1; entity = 0; _ }) :: _ ->
+        true
+    | _ -> false);
+  let recovered = Db.recover db ~checkpoint:(Store.create ()) in
+  check_int "replay skips them" 9 (Store.peek recovered ~entity:0)
+
 let test_non_durable () =
   let db =
     Db.open_ ~config:{ Db.default_config with Db.durable = false } ()
@@ -221,5 +297,9 @@ let () =
           Alcotest.test_case "retry budget" `Quick test_retry_budget_exhaustion;
           Alcotest.test_case "fuzz: interleaved transfers conserve" `Slow
             test_fuzz_interleaved;
+          Alcotest.test_case "deleted in its own commit step" `Quick
+            test_deleted_in_its_commit_step;
+          Alcotest.test_case "rejected commit undone" `Quick
+            test_rejected_commit_undone;
         ] );
     ]

@@ -45,8 +45,8 @@ let test_current_survives_deletion () =
   Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Read;
   Gs.record_access gs ~txn:2 ~entity:0 ~mode:A.Write;
   Gs.set_state gs 2 T.Committed;
-  (* Forget T2 as a committed deletion: its write must keep counting. *)
-  Gs.forget_txn_record gs 2;
+  (* Delete T2, a committed transaction: its write must keep counting. *)
+  Dct_deletion.Reduced_graph.delete gs 2;
   check "T1 still not current" false
     (Intset.mem 1 (Gs.current_accessors gs ~entity:0))
 

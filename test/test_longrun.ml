@@ -13,19 +13,28 @@
      residency high-water mark, plus what the entity index may hold for
      the residents' accesses: nothing may grow with the transactions
      ever run;
-   - per shard, the footprint table holds at most one entry per
-     resident transaction;
-   - the shard stores hold at most one version per written key, plus
-     what resident transactions hold (each resident's versions and the
-     chains it read).
+   - every storage (each shard's, a scheduler's, a database's) holds at
+     most one footprint entry per resident transaction;
+   - the stores hold at most one version per written key, plus what
+     resident transactions hold (each resident's versions and the
+     chains it read): 2 x resident x the longest access set;
+   - a log retains at most [wal_per_resident] x the residency
+     high-water mark x the records one transaction journals (a begin,
+     its writes, an outcome).  Every retained record was journaled
+     since the oldest resident began, by a transaction that was
+     resident at some moment of that one's life: these runs keep
+     every completed transaction only briefly, so that count stays a
+     small multiple of the residency.
 
    At the end, the committed projection of the decisions must pass the
    independent [ser] checker.
 
    TIMING ([test_longrun.exe timing], run by [make longrun]).  10^5
    transactions in the shapes of perfbench's sched-churn and
-   engine-tpcc; the median ns/step of the last decile may not exceed
-   1.2x the first decile's.  The two deciles are timed in alternating
+   engine-tpcc, and [wal-pin]: one transaction pinned at the log head
+   while 4x10^4 short ones are journaled, deleted and truncated behind
+   it, so the log retains every record.  The median ns/step of the last
+   decile may not exceed 1.2x the first decile's.  The two deciles are timed in alternating
    256-step chunks (the first on a fresh instance) and compared by their
    medians, so neither host drift nor a stall flips the verdict.  Timing
    does not belong in [dune runtest], so this mode runs only on
@@ -43,6 +52,9 @@ module Engine = Dct_engine.Engine
 module Coordinator = Dct_engine.Coordinator
 module Shard = Dct_engine.Shard
 module Store = Dct_kv.Store
+module Storage = Dct_kv.Storage
+module Wal = Dct_kv.Wal
+module Db = Dct_db.Db
 module Gen = Dct_workload.Generator
 module Mix = Dct_workload.Mix
 module Probe = Dct_telemetry.Probe
@@ -88,6 +100,30 @@ let sample_gs g ~at ~longest gs =
       over g ~at "resident bytes" bytes
         ((2 * b0 * g.hwm / h0) + (80 * g.hwm * longest))
 
+(* A log's bound, in units of the residency high-water mark times one
+   transaction's records (a begin, at most [longest] writes, an
+   outcome).  Over 20k greedy-C1 transactions on 10^6 uniform keys the
+   worst step reads 1.3 units. *)
+let wal_per_resident = 4
+
+(* One storage's sample, for [resident] transactions after [written]
+   distinct keys were written. *)
+let sample_storage g ~at ~longest ~written ~resident storage =
+  over g ~at "footprint entries" (Storage.footprints storage) resident;
+  over g ~at "store versions"
+    (Store.total_versions (Storage.store storage))
+    (written + (2 * resident * longest));
+  match Storage.wal storage with
+  | Some w ->
+      over g ~at "wal retained" (Wal.length w)
+        (wal_per_resident * g.hwm * (longest + 2))
+  | None -> ()
+
+let note_writes written = function
+  | Step.Write (_, xs) -> List.iter (fun x -> Hashtbl.replace written x ()) xs
+  | Step.Write_one (_, x) -> Hashtbl.replace written x ()
+  | Step.Begin _ | Step.Begin_declared _ | Step.Read _ | Step.Finish _ -> ()
+
 let ser_passes ~what committed =
   let r =
     Dct_check.Checker.check_schedule ~level:Dct_check.Violation.Serializable
@@ -101,28 +137,38 @@ let ser_passes ~what committed =
 let committed_projection decided ~aborted =
   List.filter (fun s -> not (aborted (Step.txn s))) (List.rev decided)
 
-(* Drive a scheduler step by step, sampling [gs] every [sample_every]
-   begun transactions; returns the accepted steps, newest first. *)
-let drive ~run ~longest ~gs ~step schedule =
+(* Drive a scheduler step by step, sampling [gs] (and [storage], if
+   the scheduler has one) every [sample_every] begun transactions;
+   returns the accepted steps, newest first. *)
+let drive ~run ~longest ~gs ?storage ~step schedule =
   let g = gauge run in
-  let begun = ref 0 and accepted = ref [] in
+  let begun = ref 0 and accepted = ref [] and written = Hashtbl.create 4096 in
   List.iter
     (fun s ->
       (match step s with
-      | Si.Accepted -> accepted := s :: !accepted
+      | Si.Accepted ->
+          accepted := s :: !accepted;
+          note_writes written s
       | Si.Rejected | Si.Ignored | Si.Delayed -> ());
       if begins s then begin
         incr begun;
-        if !begun mod sample_every = 0 then sample_gs g ~at:!begun ~longest (gs ())
+        if !begun mod sample_every = 0 then begin
+          let gs = gs () in
+          sample_gs g ~at:!begun ~longest gs;
+          Option.iter
+            (sample_storage g ~at:!begun ~longest ~written:(Hashtbl.length written)
+               ~resident:(Gs.txn_count gs))
+            storage
+        end
       end)
     schedule;
   if g.first = None then
     Alcotest.failf "%s: only %d txns, no sample taken" run !begun;
   !accepted
 
-let conflict_run policy ~n_txns ~n_entities () =
+let conflict_run ?storage policy ~n_txns ~n_entities () =
   let p = profile ~n_txns ~n_entities in
-  let cs = Cs.create ~policy () in
+  let cs = Cs.create ~policy ?storage () in
   let rejected = Hashtbl.create 64 in
   let step s =
     let o = Cs.step cs s in
@@ -132,7 +178,7 @@ let conflict_run policy ~n_txns ~n_entities () =
   let accepted =
     drive ~run:("sgt/" ^ Policy.name policy) ~longest:(longest p)
       ~gs:(fun () -> Cs.graph_state cs)
-      ~step (Gen.basic p)
+      ?storage ~step (Gen.basic p)
   in
   ser_passes ~what:(Policy.name policy)
     (committed_projection accepted ~aborted:(Hashtbl.mem rejected))
@@ -143,11 +189,58 @@ let multiwrite_run () =
   let accepted =
     drive ~run:"multiwrite/c3" ~longest:(longest p)
       ~gs:(fun () -> Mw.graph_state mw)
-      ~step:(Mw.step mw) (Gen.multiwrite p)
+      ~storage:(Mw.storage mw) ~step:(Mw.step mw) (Gen.multiwrite p)
   in
   let gs = Mw.graph_state mw in
   ser_passes ~what:"multiwrite"
     (committed_projection accepted ~aborted:(Gs.was_aborted gs))
+
+(* The database facade, driven by a basic schedule through explicit
+   handles: a begin opens one, a read reads, the final write commits
+   (each written key gets the step's index as its value).  A refused
+   read or commit kills the handle; the schedule's later steps of it
+   are dropped. *)
+let db_run () =
+  let p = profile ~n_txns:5000 ~n_entities:1_000_000 in
+  let longest = longest p in
+  let db = Db.open_ () in
+  let g = gauge "db/greedy-c1" in
+  let handles = Hashtbl.create 64 and written = Hashtbl.create 4096 in
+  let begun = ref 0 and aborted = ref 0 in
+  let dead t = Hashtbl.remove handles t; incr aborted in
+  let sample at =
+    let s = Db.stats db in
+    g.hwm <- max g.hwm s.Db.graph_resident;
+    sample_storage g ~at ~longest ~written:(Hashtbl.length written)
+      ~resident:s.Db.graph_resident (Db.storage db)
+  in
+  List.iteri
+    (fun i s ->
+      match s with
+      | Step.Begin t ->
+          Hashtbl.replace handles t (Db.begin_txn db);
+          incr begun;
+          if !begun mod sample_every = 0 then sample !begun
+      | Step.Read (t, x) -> (
+          match Hashtbl.find_opt handles t with
+          | Some h -> if Result.is_error (Db.read h x) then dead t
+          | None -> ())
+      | Step.Write (t, xs) -> (
+          match Hashtbl.find_opt handles t with
+          | Some h -> (
+              Hashtbl.remove handles t;
+              match Db.commit h ~writes:(List.map (fun x -> (x, i)) xs) with
+              | Ok () -> List.iter (fun x -> Hashtbl.replace written x ()) xs
+              | Error _ -> incr aborted)
+          | None -> ())
+      | Step.Begin_declared _ | Step.Write_one _ | Step.Finish _ -> ())
+    (Gen.basic p);
+  sample !begun;
+  (match Db.check_invariants db with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "db: %s" e);
+  Alcotest.(check int) "every transaction decided" 5000
+    ((Db.stats db).Db.committed + !aborted)
 
 let predeclared_run () =
   let p = profile ~n_txns:5000 ~n_entities:1_000_000 in
@@ -193,7 +286,9 @@ let engine_run () =
         let sh = Engine.shard eng i in
         let gs = Shard.graph_state sh in
         sample_gs g ~at ~longest gs;
-        over g ~at "footprint entries" (Shard.footprints sh) (Gs.txn_count gs);
+        over g ~at "footprint entries"
+          (Storage.footprints (Shard.storage sh))
+          (Gs.txn_count gs);
         versions := !versions + Store.total_versions (Shard.store sh);
         held := !held + (2 * Gs.txn_count gs * longest))
       shard_gauges;
@@ -278,6 +373,27 @@ let tpcc_timing () =
       Engine.create (Engine.config ~policy:Policy.Greedy_c1 ~shards:4 ~batch:16 ()))
     ~step:(fun eng _ s -> Engine.submit eng s)
 
+(* Transaction 0 begins and never leaves, so its [Begin] pins the log
+   head; behind it, 4x10^4 short transactions are journaled (a begin, a
+   write, a commit), removed and truncated, each step reading the log's
+   length as a shard's stats do.  The log retains every record (120,001
+   at the end), so a truncation or a length read that walks the
+   retained records grows with the run.  The storage is driven directly,
+   so the scheduler's own per-transaction tables do not mask the log's
+   cost. *)
+let wal_pin_timing () =
+  decile_medians (Array.init 40_001 Fun.id)
+    ~create:(fun () -> Storage.create ~wal:(Wal.create ()) ())
+    ~step:(fun st _ txn ->
+      Storage.begin_ st ~txn;
+      if txn > 0 then begin
+        Storage.write st ~txn ~entity:(txn mod 1024) ~value:txn;
+        Storage.commit st ~txn;
+        Storage.remove st ~txn ~aborted:false
+      end;
+      Storage.truncate st;
+      ignore (Wal.length (Option.get (Storage.wal st))))
+
 let timing () =
   let ok = ref true in
   List.iter
@@ -289,7 +405,11 @@ let timing () =
         "%-12s %7d steps  first decile %8.0f ns/step  last decile %8.0f \
          ns/step  ratio %.2f  %s\n%!"
         name steps first last ratio verdict)
-    [ ("sched-churn", churn_timing); ("engine-tpcc", tpcc_timing) ];
+    [
+      ("sched-churn", churn_timing);
+      ("engine-tpcc", tpcc_timing);
+      ("wal-pin", wal_pin_timing);
+    ];
   if not !ok then begin
     prerr_endline "longrun: per-step cost grows with run length (last decile > 1.2x first)";
     exit 1
@@ -317,5 +437,11 @@ let () =
                 predeclared_run;
               Alcotest.test_case "engine inline x4, 10^6 uniform keys" `Quick
                 engine_run;
+              Alcotest.test_case "sgt/greedy-c1 with storage and WAL, 10^6 uniform keys"
+                `Quick (fun () ->
+                  conflict_run
+                    ~storage:(Storage.create ~wal:(Wal.create ()) ())
+                    Policy.Greedy_c1 ~n_txns:20_000 ~n_entities:1_000_000 ());
+              Alcotest.test_case "db/greedy-c1, 10^6 uniform keys" `Quick db_run;
             ] );
         ]

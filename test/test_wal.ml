@@ -4,6 +4,7 @@
 
 module Wal = Dct_kv.Wal
 module Store = Dct_kv.Store
+module Storage = Dct_kv.Storage
 module Intset = Dct_graph.Intset
 module Cs = Dct_sched.Conflict_scheduler
 module Policy = Dct_deletion.Policy
@@ -62,15 +63,15 @@ let test_replay_committed_only () =
   check_int "uncommitted write skipped" 0 (Store.peek s ~entity:2)
 
 let scheduler_run policy =
-  let store = Store.create () in
   let wal = Wal.create () in
-  let sched = Cs.create ~policy ~store ~wal () in
+  let storage = Storage.create ~wal () in
+  let sched = Cs.create ~policy ~storage () in
   let schedule =
     Gen.basic
       { Gen.default with Gen.n_txns = 120; n_entities = 16; mpl = 6; seed = 33 }
   in
   List.iter (fun s -> ignore (Cs.step sched s)) schedule;
-  (store, wal, sched)
+  (Storage.store storage, wal, sched)
 
 let test_deletion_drives_truncation () =
   let _, wal_none, _ = scheduler_run Policy.No_deletion in
@@ -126,7 +127,9 @@ let prop_truncated_replay_prefix_consistent =
     QCheck.(pair small_nat (int_bound 1000))
     (fun (seed, cut_raw) ->
       let wal = Wal.create () in
-      let sched = Cs.create ~policy:Policy.No_deletion ~wal () in
+      let sched =
+        Cs.create ~policy:Policy.No_deletion ~storage:(Storage.create ~wal ()) ()
+      in
       let schedule =
         Gen.basic
           {
