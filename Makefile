@@ -84,6 +84,8 @@ graph-test:
 # JSONL.  The conflict-model and engine traces are also re-fed to the
 # deletion auditor; the multiwrite and predeclared summaries must carry
 # their c3-exact and c4 deletion rows (the shared GC round's emitter).
+# The last two runs cross-check the maintained noncurrent set against
+# its naive reference on the scheduler, coordinator and shard paths.
 trace-smoke:
 	dune exec bin/dct.exe -- simulate --model conflict --policy c2 -n 80 \
 	  --oracle checked --trace /tmp/dct-trace-smoke.jsonl --metrics
@@ -101,6 +103,10 @@ trace-smoke:
 	dune exec bin/dct.exe -- serve --shards 2 --replay 3 -n 80 \
 	  --trace /tmp/dct-trace-smoke-serve.jsonl --metrics
 	dune exec bin/dct.exe -- trace /tmp/dct-trace-smoke-serve.jsonl --audit
+	dune exec bin/dct.exe -- simulate -m basic -p noncurrent --skew uniform \
+	  -n 400 -e 64 --gc-index checked > /dev/null
+	dune exec bin/dct.exe -- serve -p noncurrent --gc-index checked --shards 2 \
+	  -n 300 -e 48 --seed 1 > /dev/null
 
 # The full oracle sweep (writes BENCH_oracle.json; minutes).
 bench:

@@ -19,8 +19,10 @@
    (BENCH_policy.smoke.json for the [make bench-policy-smoke] gate),
    re-read and validated by Bench_io before exiting; full runs
    additionally enforce the >= 5x incremental speedup on the
-   n >= 1000 high-pin configurations and zero checked-mode
-   divergences everywhere. *)
+   n >= 1000 high-pin greedy configurations, incremental <= 1.25x naive
+   on the n >= 1000 noncurrent ones (the graph state maintains
+   noncurrency on both paths, so the index must cost nothing there),
+   and zero checked-mode divergences everywhere. *)
 
 module Intset = Dct_graph.Intset
 module Gs = Dct_deletion.Graph_state
@@ -201,6 +203,18 @@ let run ~smoke ?(latency = true) () =
           Printf.eprintf
             "policy sweep: n=%d pin=%.2f %s: speedup %.1fx < 5x\n" c.n
             c.pinned_frac (Policy.name c.policy) speedup;
+          incr failures
+        end;
+        if
+          (not smoke)
+          && c.n >= 1000
+          && c.policy = Policy.Noncurrent
+          && w_i > 1.25 *. w_n
+        then begin
+          Printf.eprintf
+            "policy sweep: n=%d pin=%.2f %s: incremental %.4fs > 1.25x naive \
+             %.4fs\n"
+            c.n c.pinned_frac (Policy.name c.policy) w_i w_n;
           incr failures
         end;
         json_of_config c

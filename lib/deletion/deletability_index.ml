@@ -48,11 +48,8 @@ type t = {
          successors; doubles as the {!Condition_c1.holds_fast} memo *)
   mutable cts_cache : Intset.t option array;
       (* slot of predecessor -> completed tight successors, for C2 *)
-  mutable refcount : int array; (* slot -> #entities it is current on *)
   mutable eligible_set : Intset.t; (* { ti | verdict(ti) = true } *)
-  current_of : (int, Intset.t) Hashtbl.t; (* entity -> current accessors *)
   mutable dirty : Intset.t; (* seed txns whose neighbourhood changed *)
-  mutable dirty_entities : Intset.t; (* entities with stale accessor sets *)
   mutable all_dirty : bool; (* full rebuild pending (initial state) *)
   stats : stats;
 }
@@ -71,14 +68,11 @@ let grow_stores t n =
     Bytes.blit t.verdicts 0 verdicts 0 (Bytes.length t.verdicts);
     let covs = Array.make n' None in
     let cts = Array.make n' None in
-    let refcount = Array.make n' 0 in
     Array.blit t.covs 0 covs 0 cur;
     Array.blit t.cts_cache 0 cts 0 cur;
-    Array.blit t.refcount 0 refcount 0 cur;
     t.verdicts <- verdicts;
     t.covs <- covs;
-    t.cts_cache <- cts;
-    t.refcount <- refcount
+    t.cts_cache <- cts
   end
 
 (* Slot of [id], allocating one iff [id] is a live transaction.  Stores
@@ -103,7 +97,6 @@ let forget t id =
       Bytes.set t.verdicts s '\000';
       t.covs.(s) <- None;
       t.cts_cache.(s) <- None;
-      t.refcount.(s) <- 0;
       ignore (Arena.release t.arena id)
 
 let set_verdict t ti v =
@@ -147,8 +140,8 @@ let invalidate_tallies t v =
      the arc.  This is what makes per-step arcs free for the index.
    - an access recorded by an {e active} transaction changes no C1
      verdict either (only completed successors' accesses cover, and
-     obligations belong to completed candidates), but it does move the
-     entity's current-accessor set, so it dirties the entity only.
+     obligations belong to completed candidates), so it dirties
+     nothing.
 
    C4 tight paths pass through {e anything} and clause (2) covers with
    {e active} members' declared accesses, so for a C4 index every arc
@@ -164,8 +157,7 @@ let on_mutation t (m : Graph_state.mutation) =
           if Graph_state.is_completed t.gs dst then
             t.dirty <- Intset.add src (Intset.add dst t.dirty)
       | C4 -> t.dirty <- Intset.add src (Intset.add dst t.dirty))
-  | Graph_state.Access_recorded { txn; entity; _ } -> (
-      t.dirty_entities <- Intset.add entity t.dirty_entities;
+  | Graph_state.Access_recorded { txn; _ } -> (
       match t.cond with
       | C1 ->
           (* only ever completed on exotic direct driving; schedulers
@@ -175,7 +167,7 @@ let on_mutation t (m : Graph_state.mutation) =
       | C4 -> t.dirty <- Intset.add txn t.dirty)
   | Graph_state.State_changed id -> t.dirty <- Intset.add id t.dirty
   | Graph_state.Txn_removed { txn; neighbourhood; _ } ->
-      let { Graph_state.preds; succs; entities } = Lazy.force neighbourhood in
+      let { Graph_state.preds; succs } = Lazy.force neighbourhood in
       forget t txn;
       t.eligible_set <- Intset.remove txn t.eligible_set;
       (* The node is leaving; seed its surviving neighbours instead.  A
@@ -185,8 +177,7 @@ let on_mutation t (m : Graph_state.mutation) =
          expanding from the endpoints reaches everything the removed
          node's own cones reached. *)
       t.dirty <-
-        Intset.union (Intset.union preds succs) (Intset.remove txn t.dirty);
-      t.dirty_entities <- Intset.union entities t.dirty_entities
+        Intset.union (Intset.union preds succs) (Intset.remove txn t.dirty)
 
 (* ------------------------------------------------------------------ *)
 (* Refresh *)
@@ -210,27 +201,6 @@ let cts_of t tj =
           s
       | None -> s)
 
-(* Current-accessor refcount bumps.  A negative bump for a transaction
-   the arena no longer tracks is the echo of its own removal (the stale
-   [current_of] entry still mentions it) — dropped, so dead ids never
-   re-enter the stores. *)
-let bump t ti by =
-  match slot_for t ti with
-  | Some s -> t.refcount.(s) <- t.refcount.(s) + by
-  | None -> ()
-
-let refresh_entity t e =
-  let cur = Graph_state.current_accessors t.gs ~entity:e in
-  let old =
-    Option.value ~default:Intset.empty (Hashtbl.find_opt t.current_of e)
-  in
-  Intset.iter (fun ti -> if not (Intset.mem ti cur) then bump t ti (-1)) old;
-  Intset.iter (fun ti -> if not (Intset.mem ti old) then bump t ti 1) cur;
-  (* An entity with no current accessor keeps no entry, so the table is
-     bounded by the residents' footprints, not the entities ever seen. *)
-  if Intset.is_empty cur then Hashtbl.remove t.current_of e
-  else Hashtbl.replace t.current_of e cur
-
 let check t ti =
   t.stats.rechecks <- t.stats.rechecks + 1;
   match t.cond with
@@ -250,70 +220,59 @@ let rebuild t =
   t.verdicts <- Bytes.create 0;
   t.covs <- [||];
   t.cts_cache <- [||];
-  t.refcount <- [||];
-  Hashtbl.reset t.current_of;
   t.eligible_set <- Intset.empty;
   Intset.iter (fun ti -> recheck t ti) (Graph_state.completed_txns t.gs);
-  Intset.iter (fun e -> refresh_entity t e) (Graph_state.entities t.gs);
   t.dirty <- Intset.empty;
-  t.dirty_entities <- Intset.empty;
   t.all_dirty <- false
 
 let refresh t =
   if t.mode = Naive then ()
   else if t.all_dirty then rebuild t
-  else begin
-    if not (Intset.is_empty t.dirty_entities) then begin
-      let es = t.dirty_entities in
-      t.dirty_entities <- Intset.empty;
-      Intset.iter (refresh_entity t) es
-    end;
-    if not (Intset.is_empty t.dirty) then begin
-      t.stats.refreshes <- t.stats.refreshes + 1;
-      let seeds = t.dirty in
-      t.dirty <- Intset.empty;
-      let pass = through t in
-      let g = Graph_state.graph t.gs in
-      (* Stage 1: the region — both tight cones of every (surviving)
-         seed.  Verdicts of completed members may have moved; coverage
-         tallies of every member are suspect. *)
-      let region =
-        Intset.fold
-          (fun s acc ->
-            if not (Graph_state.mem_txn t.gs s) then acc
-            else
-              Intset.add s
-                (Intset.union acc
-                   (Intset.union
-                      (Traversal.reachable ~through:pass g `Bwd s)
-                      (Traversal.reachable ~through:pass g `Fwd s))))
-          seeds Intset.empty
-      in
-      t.stats.region_nodes <- t.stats.region_nodes + Intset.cardinal region;
-      Intset.iter (invalidate_tallies t) region;
-      (* Stage 2: candidates to re-check — completed members of the
-         region, plus the completed forward cone of every {e active}
-         member: those actives are the predecessors whose discharger
-         sets changed, and each of their completed tight successors owes
-         its verdict to them even when it lies outside the region. *)
-      let candidates =
-        ref (Intset.filter (Graph_state.is_completed t.gs) region)
-      in
-      Intset.iter
-        (fun v ->
-          if Graph_state.is_active t.gs v then
-            let cone =
-              match t.cond with
-              | C1 -> cts_of t v
-              | C4 ->
-                  Intset.filter
-                    (Graph_state.is_completed t.gs)
-                    (Traversal.reachable ~through:(fun _ -> true) g `Fwd v)
-            in
-            candidates := Intset.union !candidates cone)
-        region;
-      Intset.iter (fun ti -> recheck t ti) !candidates
-    end
+  else if not (Intset.is_empty t.dirty) then begin
+    t.stats.refreshes <- t.stats.refreshes + 1;
+    let seeds = t.dirty in
+    t.dirty <- Intset.empty;
+    let pass = through t in
+    let g = Graph_state.graph t.gs in
+    (* Stage 1: the region — both tight cones of every (surviving)
+       seed.  Verdicts of completed members may have moved; coverage
+       tallies of every member are suspect. *)
+    let region =
+      Intset.fold
+        (fun s acc ->
+          if not (Graph_state.mem_txn t.gs s) then acc
+          else
+            Intset.add s
+              (Intset.union acc
+                 (Intset.union
+                    (Traversal.reachable ~through:pass g `Bwd s)
+                    (Traversal.reachable ~through:pass g `Fwd s))))
+        seeds Intset.empty
+    in
+    t.stats.region_nodes <- t.stats.region_nodes + Intset.cardinal region;
+    Intset.iter (invalidate_tallies t) region;
+    (* Stage 2: candidates to re-check — completed members of the
+       region, plus the completed forward cone of every {e active}
+       member: those actives are the predecessors whose discharger
+       sets changed, and each of their completed tight successors owes
+       its verdict to them even when it lies outside the region. *)
+    let candidates =
+      ref (Intset.filter (Graph_state.is_completed t.gs) region)
+    in
+    Intset.iter
+      (fun v ->
+        if Graph_state.is_active t.gs v then
+          let cone =
+            match t.cond with
+            | C1 -> cts_of t v
+            | C4 ->
+                Intset.filter
+                  (Graph_state.is_completed t.gs)
+                  (Traversal.reachable ~through:(fun _ -> true) g `Fwd v)
+          in
+          candidates := Intset.union !candidates cone)
+      region;
+    Intset.iter (fun ti -> recheck t ti) !candidates
   end
 
 (* ------------------------------------------------------------------ *)
@@ -341,27 +300,20 @@ let eligible t =
                 Intset.pp t.eligible_set Intset.pp reference));
       t.eligible_set
 
-let refcount_noncurrent t ti =
-  match Arena.find t.arena ti with
-  | None -> true
-  | Some s -> t.refcount.(s) = 0
-
-let noncurrent t ti =
-  match t.mode with
-  | Naive -> Condition_c1.noncurrent t.gs ti
-  | Incremental ->
-      refresh t;
-      refcount_noncurrent t ti
-  | Checked ->
-      refresh t;
-      let inc = refcount_noncurrent t ti in
-      let reference = Condition_c1.noncurrent t.gs ti in
-      if inc <> reference then
-        raise
-          (Divergence
-             (Printf.sprintf "noncurrent(T%d): incremental %b <> naive %b" ti
-                inc reference));
-      inc
+let check_noncurrent t =
+  if t.mode = Checked then begin
+    let maintained = Graph_state.noncurrent_completed t.gs in
+    let reference =
+      Intset.filter
+        (Condition_c1.noncurrent t.gs)
+        (Graph_state.completed_txns t.gs)
+    in
+    if not (Intset.equal maintained reference) then
+      raise
+        (Divergence
+           (Format.asprintf "noncurrent: maintained %a <> naive %a" Intset.pp
+              maintained Intset.pp reference))
+  end
 
 let completed_tight_successors t tj =
   match t.mode with
@@ -398,11 +350,8 @@ let attach ?(cond = C1) mode gs =
       verdicts = Bytes.create 0;
       covs = [||];
       cts_cache = [||];
-      refcount = [||];
       eligible_set = Intset.empty;
-      current_of = Hashtbl.create 64;
       dirty = Intset.empty;
-      dirty_entities = Intset.empty;
       all_dirty = true;
       stats = { refreshes = 0; full_rebuilds = 0; rechecks = 0; region_nodes = 0 };
     }

@@ -14,14 +14,16 @@
       of the affected node, plus — for every {e active} member of that
       region — the active's completed tight successors (the candidates
       whose discharger set just changed, even outside the region),
-    - an access by an active transaction dirties only the entity's
-      current-accessor refcounts (powering {!noncurrent}).
+    - an access by an active transaction dirties nothing.
 
-    The index answers exactly the questions {!Policy.run} asks; the
-    naive per-call derivation remains the reference implementation and
-    the [Checked] mode runs both in lock-step, raising {!Divergence} on
-    any mismatch — mirroring [Cycle_oracle.Checked].  See [docs/gc.md]
-    for the invalidation argument and the cost model. *)
+    The index answers the C1/C4 questions {!Policy.run} asks; the naive
+    per-call derivation remains the reference implementation and the
+    [Checked] mode runs both in lock-step, raising {!Divergence} on any
+    mismatch — mirroring [Cycle_oracle.Checked].  Corollary 1's
+    noncurrency needs no index: {!Graph_state.noncurrent_completed}
+    maintains it on every path, and a [Checked] index only
+    cross-checks it ({!check_noncurrent}).  See [docs/gc.md] for the
+    invalidation argument and the cost model. *)
 
 exception Divergence of string
 (** A [Checked] index caught the incremental answer disagreeing with the
@@ -62,10 +64,11 @@ val eligible : t -> Dct_graph.Intset.t
     {!Condition_c1.eligible}/{!Condition_c4.eligible} on the current
     state.  @raise Divergence in [Checked] mode on any mismatch. *)
 
-val noncurrent : t -> int -> bool
-(** Corollary 1 via maintained per-entity current-accessor refcounts:
-    [noncurrent t ti] iff [ti] is current on no entity.  Identical to
-    {!Condition_c1.noncurrent}.  @raise Divergence in [Checked] mode. *)
+val check_noncurrent : t -> unit
+(** In [Checked] mode, compare {!Graph_state.noncurrent_completed} of
+    the indexed state with its reference, the completed transactions
+    for which {!Condition_c1.noncurrent} holds; a no-op in the other
+    modes.  @raise Divergence on a mismatch. *)
 
 val completed_tight_successors : t -> int -> Dct_graph.Intset.t
 (** Cached discharger set of a predecessor, for

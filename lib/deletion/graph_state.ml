@@ -11,7 +11,9 @@ module Tracer = Dct_telemetry.Tracer
 
    [history] records every access of a *present* transaction (entries of
    aborted and deleted transactions are dropped when the transaction
-   leaves).  [last_write_seq] marks where the current value begins; it
+   leaves), with strictly decreasing seqs.  [last_write_seq] marks where
+   the current value begins: the entries with [seq >= last_write_seq]
+   are current, and they form a prefix of the history.  The mark
    survives the deletion of the writer thanks to [tombstone_write_seq]
    (a committed-and-deleted write can never be undone, whereas an
    aborted write is). *)
@@ -24,7 +26,7 @@ type einfo = {
 (* Structural change notifications for incremental consumers (the
    deletability index, a storage).  A removal's neighbourhood is lazy:
    only a subscriber that forces it (the index) pays for building it. *)
-type neighbourhood = { preds : Intset.t; succs : Intset.t; entities : Intset.t }
+type neighbourhood = { preds : Intset.t; succs : Intset.t }
 
 type mutation =
   | Txn_began of int
@@ -51,6 +53,12 @@ type t = {
   mutable recs : Transaction.t option array; (* slot -> record *)
   mutable deps : Intset.t array; (* slot -> providers it read from (ids) *)
   mutable rev_deps : Intset.t array; (* slot -> dependents (ids) *)
+  mutable current : int array;
+      (* slot -> how many of its history entries are current; zero means
+         noncurrent (Corollary 1) *)
+  mutable ready : Intset.t;
+      (* completed transactions whose [current] count is zero, kept
+         exact by every mutator so a noncurrent GC round reads it *)
   einfos : (int, einfo) Hashtbl.t;
       (* entities with at least one present accessor: an entry whose
          history empties is removed, since [last_write_seq] and
@@ -78,6 +86,8 @@ let create ?(oracle = Cycle_oracle.Topo) ?(tracer = Tracer.disabled) () =
     recs = [||];
     deps = [||];
     rev_deps = [||];
+    current = [||];
+    ready = Intset.empty;
     einfos = Hashtbl.create 64;
     history_len = 0;
     active = 0;
@@ -91,6 +101,10 @@ let create ?(oracle = Cycle_oracle.Topo) ?(tracer = Tracer.disabled) () =
 let tracer t = t.tracer
 
 let on_mutation t f = t.hooks <- t.hooks @ [ f ]
+
+(* Callers test this before building a notice, so a state nobody
+   subscribes to allocates none. *)
+let listening t = match t.hooks with [] -> false | _ :: _ -> true
 
 let notify t m =
   match t.hooks with
@@ -127,6 +141,8 @@ let copy t =
         t.recs;
     deps = Array.copy t.deps;
     rev_deps = Array.copy t.rev_deps;
+    current = Array.copy t.current;
+    ready = t.ready;
     einfos;
     history_len = t.history_len;
     active = t.active;
@@ -151,12 +167,15 @@ let grow_stores t n =
     let recs = Array.make n' None in
     let deps = Array.make n' Intset.empty in
     let rev_deps = Array.make n' Intset.empty in
+    let current = Array.make n' 0 in
     Array.blit t.recs 0 recs 0 cur;
     Array.blit t.deps 0 deps 0 cur;
     Array.blit t.rev_deps 0 rev_deps 0 cur;
+    Array.blit t.current 0 current 0 cur;
     t.recs <- recs;
     t.deps <- deps;
-    t.rev_deps <- rev_deps
+    t.rev_deps <- rev_deps;
+    t.current <- current
   end
 
 let begin_txn ?declared t id =
@@ -167,24 +186,31 @@ let begin_txn ?declared t id =
   t.recs.(s) <- Some (Transaction.create ?declared id);
   t.active <- t.active + 1;
   Cycle_oracle.add_node t.oracle id;
-  notify t (Txn_began id)
+  if listening t then notify t (Txn_began id)
 
-let txn t id =
-  match Arena.find t.arena id with
-  | Some s -> ( match t.recs.(s) with Some r -> r | None -> raise Not_found)
-  | None -> raise Not_found
+let rec_at t slot =
+  match t.recs.(slot) with Some r -> r | None -> raise Not_found
+
+let txn t id = rec_at t (Arena.slot t.arena id)
 
 let state t id = (txn t id).Transaction.state
 
-(* The only state mutator, so the active count stays exact. *)
+(* The only state mutator, so the active count and the ready set stay
+   exact. *)
 let set_state t id s =
-  let r = txn t id in
+  let slot = Arena.slot t.arena id in
+  let r = rec_at t slot in
   let was = Transaction.is_active r.Transaction.state in
   let now = Transaction.is_active s in
   if was && not now then t.active <- t.active - 1
   else if now && not was then t.active <- t.active + 1;
+  let was_done = Transaction.is_completed r.Transaction.state in
+  let now_done = Transaction.is_completed s in
+  if t.current.(slot) = 0 && was_done <> now_done then
+    t.ready <-
+      (if now_done then Intset.add id t.ready else Intset.remove id t.ready);
   r.Transaction.state <- s;
-  notify t (State_changed id)
+  if listening t then notify t (State_changed id)
 
 let accesses t id = (txn t id).Transaction.accesses
 
@@ -214,6 +240,7 @@ let completed_txns t = filter_txns t Transaction.is_completed
 let all_txns t = filter_txns t (fun _ -> true)
 let txn_count t = Arena.live t.arena
 let active_count t = t.active
+let noncurrent_completed t = t.ready
 
 (* Entity index *)
 
@@ -225,14 +252,44 @@ let einfo t entity =
       Hashtbl.replace t.einfos entity info;
       info
 
+(* [by] = 1: one history entry of the transaction in [slot] became
+   current; -1: one stopped being so.  Only a completed transaction's
+   count leaving or reaching zero touches the ready set. *)
+let shift t slot ~by =
+  let c = t.current.(slot) + by in
+  t.current.(slot) <- c;
+  if c = 0 || c = by then
+    match t.recs.(slot) with
+    | Some r when Transaction.is_completed r.Transaction.state ->
+        let id = r.Transaction.id in
+        t.ready <-
+          (if c = 0 then Intset.add id t.ready else Intset.remove id t.ready)
+    | _ -> ()
+
+(* Shift the count of every entry of [history] (newest first) with
+   [lo <= seq < hi]: a walk down the newest entries, which stops at the
+   first one older than [lo]. *)
+let rec walk t ~by ~lo ~hi = function
+  | (id, _, seq) :: rest when seq >= lo ->
+      if seq < hi then shift t (Arena.slot t.arena id) ~by;
+      walk t ~by ~lo ~hi rest
+  | _ -> ()
+
 let record_access t ~txn:id ~entity ~mode =
-  Transaction.perform (txn t id) ~entity ~mode;
+  let slot = Arena.slot t.arena id in
+  Transaction.perform (rec_at t slot) ~entity ~mode;
   t.seq <- t.seq + 1;
   let info = einfo t entity in
+  (* Promoted first, so superseding one's own read never passes zero. *)
+  shift t slot ~by:1;
+  if mode = Access.Write then begin
+    (* The entity's current prefix is superseded. *)
+    walk t ~by:(-1) ~lo:info.last_write_seq ~hi:max_int info.history;
+    info.last_write_seq <- t.seq
+  end;
   info.history <- (id, mode, t.seq) :: info.history;
   t.history_len <- t.history_len + 1;
-  if mode = Access.Write then info.last_write_seq <- t.seq;
-  notify t (Access_recorded { txn = id; entity; mode })
+  if listening t then notify t (Access_recorded { txn = id; entity; mode })
 
 let collect_history t entity p =
   match Hashtbl.find_opt t.einfos entity with
@@ -277,7 +334,7 @@ let add_dependency t ~dependent ~on_ =
              "Graph_state.add_dependency: T%d -> T%d involves an absent \
               transaction"
              dependent on_));
-    notify t (Dependency_added { dependent; on_ })
+    if listening t then notify t (Dependency_added { dependent; on_ })
   end
 
 let direct_deps t id =
@@ -309,7 +366,7 @@ let graph t = Cycle_oracle.graph t.oracle
 
 let add_arc t ~src ~dst =
   Cycle_oracle.add_arc t.oracle ~src ~dst;
-  notify t (Arc_added { src; dst })
+  if listening t then notify t (Arc_added { src; dst })
 
 let reaches t ~src ~dst = Cycle_oracle.reaches t.oracle ~src ~dst
 
@@ -327,7 +384,10 @@ let is_acyclic t = Traversal.is_acyclic (graph t)
 (* Visits only the leaving transaction's own entities: every history
    entry of [id] is on an entity of its access set ([record_access]
    performs before it logs), and the access set is still readable
-   because this runs before [release_txn]. *)
+   because this runs before [release_txn].  Neither removal changes
+   another transaction's currency, except that an abort which rolls
+   [last_write_seq] back makes the entries between the two marks
+   current again. *)
 let drop_entity_entries t id ~tombstone =
   Access.iter
     (fun ~entity ~mode:_ ->
@@ -355,6 +415,8 @@ let drop_entity_entries t id ~tombstone =
                     if mode = Access.Write then max acc seq else acc)
                   info.tombstone_write_seq others
               in
+              if max_write < info.last_write_seq then
+                walk t ~by:1 ~lo:max_write ~hi:info.last_write_seq others;
               info.last_write_seq <- max_write
             end
           end)
@@ -376,8 +438,9 @@ let drop_deps t s ~id =
   t.deps.(s) <- Intset.empty;
   t.rev_deps.(s) <- Intset.empty
 
-(* Release a transaction's slot: the record and both dependency cells
-   must be blank before the slot can be recycled by the next begin. *)
+(* Release a transaction's slot: the record, both dependency cells and
+   the currency count must be blank before the slot can be recycled by
+   the next begin. *)
 let release_txn t id =
   match Arena.find t.arena id with
   | None -> ()
@@ -385,8 +448,11 @@ let release_txn t id =
       (match t.recs.(s) with
       | Some r when Transaction.is_active r.Transaction.state ->
           t.active <- t.active - 1
+      | Some r when Transaction.is_completed r.Transaction.state ->
+          if t.current.(s) = 0 then t.ready <- Intset.remove id t.ready
       | _ -> ());
       t.recs.(s) <- None;
+      t.current.(s) <- 0;
       drop_deps t s ~id;
       ignore (Arena.release t.arena id)
 
@@ -404,11 +470,7 @@ let announce_removal t id ~reduction =
              neighbourhood =
                lazy
                  (let g = graph t in
-                  {
-                    preds = Digraph.preds g id;
-                    succs = Digraph.succs g id;
-                    entities = Access.entities (accesses t id);
-                  });
+                  { preds = Digraph.preds g id; succs = Digraph.succs g id });
            })
 
 let abort_txn t id =
@@ -463,6 +525,7 @@ let resident_bytes t =
   let store_bytes =
     8
     * (Array.length t.recs + Array.length t.deps + Array.length t.rev_deps
+     + Array.length t.current
      + (16 * Arena.live t.arena))
   in
   let entity_bytes =
@@ -483,35 +546,62 @@ let check_invariants t =
   else if not (Traversal.is_acyclic g) then err "graph is cyclic"
   else begin
     let bad_history = ref None and entries = ref 0 in
+    let currents = Hashtbl.create 64 in
     Hashtbl.iter
       (fun e info ->
         if info.history = [] then bad_history := Some (e, "has an empty history")
         else
-          List.iter
-            (fun (id, _, _) ->
-              incr entries;
-              match find_rec t id with
-              | None ->
-                  bad_history :=
-                    Some (e, Printf.sprintf "history mentions absent T%d" id)
-              | Some r when not (Access.mem r.Transaction.accesses ~entity:e)
-                ->
-                  bad_history :=
-                    Some
-                      ( e,
-                        Printf.sprintf
-                          "history mentions T%d, which never accessed it" id )
-              | Some _ -> ())
-            info.history)
+          ignore
+            (List.fold_left
+               (fun newer (id, _, seq) ->
+                 incr entries;
+                 if seq >= newer then
+                   bad_history :=
+                     Some (e, "has seqs that do not strictly decrease");
+                 if seq >= info.last_write_seq then
+                   Hashtbl.replace currents id
+                     (1 + Option.value ~default:0 (Hashtbl.find_opt currents id));
+                 (match find_rec t id with
+                 | None ->
+                     bad_history :=
+                       Some (e, Printf.sprintf "history mentions absent T%d" id)
+                 | Some r
+                   when not (Access.mem r.Transaction.accesses ~entity:e) ->
+                     bad_history :=
+                       Some
+                         ( e,
+                           Printf.sprintf
+                             "history mentions T%d, which never accessed it" id
+                         )
+                 | Some _ -> ());
+                 seq)
+               max_int info.history))
       t.einfos;
     let actives = Intset.cardinal (active_txns t) in
-    match !bad_history with
-    | Some (e, what) -> err "entity %d %s" e what
-    | None when !entries <> t.history_len ->
+    let current_of id = Option.value ~default:0 (Hashtbl.find_opt currents id) in
+    let miscounted =
+      Arena.fold
+        (fun ~id ~slot acc ->
+          let n = current_of id in
+          if t.current.(slot) <> n then Some (id, t.current.(slot), n) else acc)
+        t.arena None
+    in
+    let ready =
+      Intset.filter (fun id -> current_of id = 0) (completed_txns t)
+    in
+    match (!bad_history, miscounted) with
+    | Some (e, what), _ -> err "entity %d %s" e what
+    | None, _ when !entries <> t.history_len ->
         err "history count %d <> %d entries" t.history_len !entries
-    | None when actives <> t.active ->
+    | None, _ when actives <> t.active ->
         err "active count %d <> %d active transactions" t.active actives
-    | None -> (
+    | None, Some (id, kept, n) ->
+        err "T%d's current count %d <> %d current entries" id kept n
+    | None, None when not (Intset.equal ready t.ready) ->
+        err "ready set %s <> noncurrent completed %s"
+          (Format.asprintf "%a" Intset.pp t.ready)
+          (Format.asprintf "%a" Intset.pp ready)
+    | None, None -> (
         let bad_dep = ref None in
         Arena.iter
           (fun ~id:d ~slot ->

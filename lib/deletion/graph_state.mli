@@ -29,12 +29,8 @@ type t
     be forced inside the callback; one that needs only the id builds
     nothing.  Note the bypass arcs materialised by a reduction do
     {e not} fire [Arc_added] — they are implied by the removal's
-    [preds]×[succs]. *)
-type neighbourhood = {
-  preds : Dct_graph.Intset.t;
-  succs : Dct_graph.Intset.t;
-  entities : Dct_graph.Intset.t;
-}
+    [preds]×[succs].  A state with no subscriber builds no notice. *)
+type neighbourhood = { preds : Dct_graph.Intset.t; succs : Dct_graph.Intset.t }
 
 type mutation =
   | Txn_began of int
@@ -113,12 +109,34 @@ val active_count : t -> int
     {!begin_txn}, {!set_state} (the only state mutator) and the
     removals.  {!check_invariants} recounts it. *)
 
+val noncurrent_completed : t -> Dct_graph.Intset.t
+(** Corollary 1's candidates in O(1): the completed transactions none
+    of whose accesses is current, i.e. the members [ti] of
+    {!completed_txns} for which [Condition_c1.noncurrent t ti] holds.
+
+    The state keeps, per present transaction, a count of its history
+    entries that are still current, and this set of the completed ones
+    whose count is zero.  An access is current when no write of its
+    entity came after it, so only a write, or the abort of a write,
+    moves another transaction's count:
+    - {!record_access} adds one to the accessor's count (O(1) for a
+      read); a write also takes one from every entry of the entity's
+      current prefix (O(that prefix), since histories are newest-first);
+    - {!abort_txn} of a transaction whose write was current restores
+      the entries between the rolled-back mark and the old one;
+    - a deletion changes no other transaction's count, so the removals
+      stay O(own footprint);
+    - {!set_state} moves a transaction in or out of the set as it
+      completes.
+    Only a completed transaction's count crossing zero touches the set.
+    {!check_invariants} recounts both from the histories. *)
+
 (** {1 Accesses and the entity index} *)
 
 val record_access : t -> txn:int -> entity:int -> mode:Dct_txn.Access.mode -> unit
 (** Updates the transaction's access set, the per-entity reader/writer
     index, and current-value accessor tracking (a write supersedes all
-    previous accessors of the entity). *)
+    previous accessors of the entity; see {!noncurrent_completed}). *)
 
 val present_writers : t -> entity:int -> Dct_graph.Intset.t
 (** Present transactions that have written the entity (Rule 2 sources). *)
@@ -127,9 +145,11 @@ val present_accessors : t -> entity:int -> Dct_graph.Intset.t
 (** Present transactions that have read or written it (Rule 3 sources). *)
 
 val current_accessors : t -> entity:int -> Dct_graph.Intset.t
-(** Transactions (present or not) that read or wrote the entity's
-    {e current} value — i.e. accessed it and it was not overwritten
-    since.  Powers Corollary 1's noncurrent test. *)
+(** Present transactions that read or wrote the entity's {e current}
+    value — i.e. accessed it and it was not overwritten since.  (The
+    histories hold present transactions only.)  Derived from the
+    entity's history on each call: the reference for
+    {!noncurrent_completed}, through [Condition_c1.noncurrent]. *)
 
 val entities : t -> Dct_graph.Intset.t
 (** Entities with at least one {e present} accessor.  An entity whose
@@ -235,9 +255,12 @@ val delete_with_bypass : t -> int -> unit
 val check_invariants : t -> (unit, string) result
 (** Structural self-check, used by the fuzzing tests: graph nodes =
     transaction records; the graph is acyclic; per-entity histories are
-    non-empty and mention only present transactions whose access sets
-    hold the entity (what footprint removal relies on); the maintained
-    history and active counts match a recount; the dependency maps are
-    mutually consistent and mention only present transactions. *)
+    non-empty, strictly decreasing in seq (what the currency walks rely
+    on) and mention only present transactions whose access sets hold
+    the entity (what footprint removal relies on); the maintained
+    history and active counts, each present transaction's count of
+    current entries and the {!noncurrent_completed} set match a
+    recount from the histories; the dependency maps are mutually
+    consistent and mention only present transactions. *)
 
 val pp : Format.formatter -> t -> unit

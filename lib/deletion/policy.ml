@@ -30,12 +30,10 @@ let rec run_raw ?index policy gs =
   | No_deletion -> Intset.empty
   | Unsafe_commit_time -> delete_all gs (Graph_state.completed_txns gs)
   | Noncurrent ->
-      let noncurrent =
-        match index with
-        | Some idx -> fun ti -> Deletability_index.noncurrent idx ti
-        | None -> Condition_c1.noncurrent gs
-      in
-      delete_all gs (Intset.filter noncurrent (Graph_state.completed_txns gs))
+      (* Maintained by the graph state on every path; deleting one
+         member changes no other transaction's currency. *)
+      Option.iter Deletability_index.check_noncurrent index;
+      delete_all gs (Graph_state.noncurrent_completed gs)
   | Greedy_c1 ->
       (* Delete in place, re-evaluating eligibility after each removal
          (deleting one transaction can disable another's C1).  With an

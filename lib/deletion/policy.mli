@@ -43,13 +43,19 @@ val run :
     timed under the index backend's name (["naive"] without one).
     Telemetry never changes what is deleted.
 
+    [Noncurrent] deletes {!Graph_state.noncurrent_completed}, which the
+    state maintains, so an untraced call costs O(deleted) with or
+    without an index; deleting one member changes no other
+    transaction's currency.
+
     [index] must be a {!Deletability_index.t} attached to {e this}
-    state; eligibility/noncurrency queries are then answered from the
-    maintained cache — [Greedy_c1] becomes a worklist re-checking only
-    each deletion's tight neighbourhood, [Noncurrent] reads per-entity
-    refcounts, [Exact_max*] reuses cached discharger sets.  Decisions
-    are identical with and without (metamorphic-tested); a [Checked]
-    index raises {!Deletability_index.Divergence} on any mismatch. *)
+    state; eligibility queries are then answered from the maintained
+    cache — [Greedy_c1] becomes a worklist re-checking only each
+    deletion's tight neighbourhood, [Exact_max*] reuses cached
+    discharger sets.  Decisions are identical with and without
+    (metamorphic-tested); a [Checked] index raises
+    {!Deletability_index.Divergence} on any mismatch, including one
+    between the maintained noncurrent set and its naive reference. *)
 
 val round :
   Dct_telemetry.Tracer.t ->

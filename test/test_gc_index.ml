@@ -70,6 +70,16 @@ let eligible_agrees =
       Intset.equal (C1.eligible gs)
         (Intset.filter (C1.holds gs) (Gs.completed_txns gs)))
 
+(* Corollary 1's set, maintained by the graph state, against its
+   per-entity reference. *)
+let noncurrent_agrees gs ~after =
+  let reference = Intset.filter (C1.noncurrent gs) (Gs.completed_txns gs) in
+  if not (Intset.equal (Gs.noncurrent_completed gs) reference) then
+    Q.Test.fail_reportf "noncurrent diverged after %s: maintained %s, naive %s"
+      (Step.to_string after)
+      (Format.asprintf "%a" Intset.pp (Gs.noncurrent_completed gs))
+      (Format.asprintf "%a" Intset.pp reference)
+
 (* An incrementally maintained index must answer exactly like a naive
    one at every step of a live run, whatever mutations the schedule
    throws at it — this is Checked mode's own assertion, re-stated from
@@ -86,13 +96,27 @@ let index_tracks_reference =
           if not (Intset.equal (Dindex.eligible idx) (C1.eligible gs)) then
             Q.Test.fail_reportf "eligible diverged after %s"
               (Step.to_string s);
-          Intset.iter
-            (fun ti ->
-              if Dindex.noncurrent idx ti <> C1.noncurrent gs ti then
-                Q.Test.fail_reportf "noncurrent(T%d) diverged" ti)
-            (Gs.completed_txns gs);
+          noncurrent_agrees gs ~after:s;
           (* interleave deletions so the index also sees bypass removals *)
           ignore (Policy.run ~index:idx Policy.Greedy_c1 gs))
+        schedule;
+      true)
+
+(* The multi-write model is the one path where an abort rolls a write
+   back: a cascade makes the older accessors of each entity its doomed
+   writers touched current again, and can take a finished reader back
+   out of the noncurrent set. *)
+let noncurrent_tracks_cascades =
+  Q.Test.make ~name:"noncurrent = naive under cascading aborts, stepwise"
+    ~count:60 seed_arb (fun seed ->
+      let schedule =
+        Gen.multiwrite (profile ~n_txns:30 ~n_entities:5 ~mpl:5 seed)
+      in
+      let mw = Mw.create ~deletion:(Mw.C3_exact 8) () in
+      List.iter
+        (fun s ->
+          ignore (Mw.step mw s);
+          noncurrent_agrees (Mw.graph_state mw) ~after:s)
         schedule;
       true)
 
@@ -343,7 +367,12 @@ let test_certify_refuses_index () =
 let () =
   let qcheck =
     List.map QCheck_alcotest.to_alcotest
-      [ holds_fast_is_holds; eligible_agrees; index_tracks_reference ]
+      [
+        holds_fast_is_holds;
+        eligible_agrees;
+        index_tracks_reference;
+        noncurrent_tracks_cascades;
+      ]
   in
   Alcotest.run "gc_index"
     [

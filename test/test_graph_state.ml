@@ -61,6 +61,96 @@ let test_abort_reverts_current () =
   check "was aborted" true (Gs.was_aborted gs 2);
   check "not member" false (Gs.mem_txn gs 2)
 
+(* Corollary 1's maintained set, read back after each mutation, and the
+   recount [check_invariants] makes from the histories. *)
+let ready gs = Intset.to_sorted_list (Gs.noncurrent_completed gs)
+
+let check_ready what gs expected =
+  Alcotest.(check (list int)) what expected (ready gs);
+  Alcotest.(check (result unit string)) (what ^ ": invariants") (Ok ())
+    (Gs.check_invariants gs)
+
+let test_write_demotes_readers () =
+  let gs = Gs.create () in
+  List.iter (Gs.begin_txn gs) [ 1; 2 ];
+  Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Read;
+  Gs.set_state gs 1 T.Committed;
+  check_ready "T1 read the current value" gs [];
+  Gs.record_access gs ~txn:2 ~entity:0 ~mode:A.Write;
+  check_ready "T2's write demotes T1" gs [ 1 ];
+  Gs.set_state gs 2 T.Committed;
+  check_ready "T2's write is current" gs [ 1 ]
+
+let test_overwritten_reader_ready_at_commit () =
+  let gs = Gs.create () in
+  List.iter (Gs.begin_txn gs) [ 1; 2 ];
+  Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Read;
+  Gs.record_access gs ~txn:2 ~entity:0 ~mode:A.Write;
+  Gs.set_state gs 2 T.Committed;
+  check_ready "an active transaction is never ready" gs [];
+  Gs.set_state gs 1 T.Committed;
+  check_ready "read-only T1 commits noncurrent" gs [ 1 ]
+
+let test_read_modify_write () =
+  let gs = Gs.create () in
+  List.iter (Gs.begin_txn gs) [ 1; 2 ];
+  Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Read;
+  Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Write;
+  Gs.set_state gs 1 T.Committed;
+  check_ready "T1's own write keeps it current" gs [];
+  Gs.record_access gs ~txn:2 ~entity:0 ~mode:A.Write;
+  check_ready "T2 supersedes both of T1's entries" gs [ 1 ]
+
+let test_abort_repromotes () =
+  let gs = Gs.create () in
+  List.iter (Gs.begin_txn gs) [ 1; 2; 3 ];
+  Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Write;
+  Gs.set_state gs 1 T.Committed;
+  Gs.record_access gs ~txn:2 ~entity:0 ~mode:A.Read;
+  Gs.set_state gs 2 T.Finished;
+  (* A multi-write transaction's Write_one lands before it completes. *)
+  Gs.record_access gs ~txn:3 ~entity:0 ~mode:A.Write;
+  check_ready "T3's write demotes the writer and the reader" gs [ 1; 2 ];
+  Gs.abort_txn gs 3;
+  check_ready "the abort makes both current again" gs []
+
+let test_deletion_keeps_counts () =
+  let gs = Gs.create () in
+  List.iter (Gs.begin_txn gs) [ 1; 2; 3 ];
+  Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Read;
+  Gs.set_state gs 1 T.Committed;
+  Gs.record_access gs ~txn:2 ~entity:0 ~mode:A.Write;
+  Gs.set_state gs 2 T.Committed;
+  Gs.record_access gs ~txn:3 ~entity:0 ~mode:A.Read;
+  Gs.set_state gs 3 T.Committed;
+  check_ready "T1 overwritten, T2 and T3 current" gs [ 1 ];
+  (* Deleting the current writer rewrites no database fact. *)
+  Dct_deletion.Reduced_graph.delete gs 2;
+  check_ready "T1 stays noncurrent, T3 current" gs [ 1 ]
+
+let test_copy_counts_independent () =
+  let gs = Gs.create () in
+  List.iter (Gs.begin_txn gs) [ 1; 2; 3 ];
+  Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Read;
+  Gs.set_state gs 1 T.Committed;
+  let gs' = Gs.copy gs in
+  Gs.record_access gs' ~txn:2 ~entity:0 ~mode:A.Write;
+  check_ready "the copy sees T1 overwritten" gs' [ 1 ];
+  check_ready "the original does not" gs [];
+  Gs.record_access gs ~txn:3 ~entity:0 ~mode:A.Write;
+  check_ready "the original's own write demotes T1" gs [ 1 ]
+
+let test_recycled_slot_starts_at_zero () =
+  let gs = Gs.create () in
+  Gs.begin_txn gs 1;
+  Gs.record_access gs ~txn:1 ~entity:0 ~mode:A.Read;
+  Gs.set_state gs 1 T.Committed;
+  Dct_deletion.Reduced_graph.delete gs 1;
+  (* T2 takes T1's slot; it accesses nothing, so it is noncurrent. *)
+  Gs.begin_txn gs 2;
+  Gs.set_state gs 2 T.Committed;
+  check_ready "T2 does not inherit T1's count" gs [ 2 ]
+
 let test_dependencies () =
   let gs = Gs.create () in
   List.iter (Gs.begin_txn gs) [ 1; 2; 3; 4 ];
@@ -148,6 +238,19 @@ let () =
             test_current_survives_deletion;
           Alcotest.test_case "abort reverts currency" `Quick
             test_abort_reverts_current;
+          Alcotest.test_case "a write demotes earlier readers" `Quick
+            test_write_demotes_readers;
+          Alcotest.test_case "overwritten reader ready at commit" `Quick
+            test_overwritten_reader_ready_at_commit;
+          Alcotest.test_case "read-modify-write" `Quick test_read_modify_write;
+          Alcotest.test_case "abort re-promotes older accessors" `Quick
+            test_abort_repromotes;
+          Alcotest.test_case "deletion keeps other counts" `Quick
+            test_deletion_keeps_counts;
+          Alcotest.test_case "copy has its own counts" `Quick
+            test_copy_counts_independent;
+          Alcotest.test_case "recycled slot starts at zero" `Quick
+            test_recycled_slot_starts_at_zero;
           Alcotest.test_case "dependency closure" `Quick test_dependencies;
           Alcotest.test_case "would_cycle" `Quick test_would_cycle;
           Alcotest.test_case "copy independence" `Quick test_copy_independence;

@@ -27,7 +27,10 @@
      small multiple of the residency.
 
    At the end, the committed projection of the decisions must pass the
-   independent [ser] checker.
+   independent [ser] checker.  One more case holds the noncurrent
+   policy's GC to the change, not the residents: the minor words a
+   churn step allocates may not grow by more than 1.5x from 100 to
+   4,000 resident transactions.
 
    TIMING ([test_longrun.exe timing], run by [make longrun]).  10^5
    transactions in the shapes of perfbench's sched-churn and
@@ -309,6 +312,44 @@ let engine_run () =
   ser_passes ~what:"engine"
     (committed_projection !decided ~aborted:(Hashtbl.mem rejected))
 
+(* --- GC cost against residency ------------------------------------ *)
+
+(* [readers] committed transactions each read a key nobody ever writes,
+   so Corollary 1 keeps every one of them resident.  Then 2,000 short
+   writers overwrite one hot key in turn, each deleting the one before
+   it.  Returns the minor words allocated per churn step: a noncurrent
+   GC round that rescans the residents allocates in proportion to
+   them.  Allocation counts repeat exactly, so the gate cannot flake. *)
+let churn_words ~readers =
+  let cs = Cs.create ~policy:Policy.Noncurrent () in
+  let run = List.iter (fun s -> ignore (Cs.step cs s)) in
+  run
+    (List.concat
+       (List.init readers (fun i ->
+            [ Step.Begin i; Step.Read (i, i + 1); Step.Write (i, []) ])));
+  let churn =
+    List.concat
+      (List.init 2000 (fun j ->
+           let w = readers + j in
+           [ Step.Begin w; Step.Write (w, [ 0 ]) ]))
+  in
+  let w0 = Gc.minor_words () in
+  run churn;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int)
+    (Printf.sprintf "R = %d: the readers and the last writer stay" readers)
+    (readers + 1)
+    (Gs.txn_count (Cs.graph_state cs));
+  words /. float_of_int (List.length churn)
+
+let gc_scaling () =
+  let small = churn_words ~readers:100 and large = churn_words ~readers:4000 in
+  if large > 1.5 *. small then
+    Alcotest.failf
+      "noncurrent GC cost grows with residency: %.0f minor words/step at R = \
+       4000, %.0f at R = 100 (bound 1.5x)"
+      large small
+
 (* --- timing ------------------------------------------------------- *)
 
 let chunk = 256
@@ -443,5 +484,8 @@ let () =
                     ~storage:(Storage.create ~wal:(Wal.create ()) ())
                     Policy.Greedy_c1 ~n_txns:20_000 ~n_entities:1_000_000 ());
               Alcotest.test_case "db/greedy-c1, 10^6 uniform keys" `Quick db_run;
+              Alcotest.test_case
+                "sgt/noncurrent: GC words/step flat from 100 to 4000 residents"
+                `Quick gc_scaling;
             ] );
         ]
